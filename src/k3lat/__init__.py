@@ -19,14 +19,12 @@ from .intlat import (
     quotient_by_isotropic,
     rank_one,
     saturation,
-    smith_normal_form,
     sublattice,
 )
 from .discform import (
     DiscriminantForm,
     FiniteSubgroup,
     SubgroupMap,
-    b_value,
     discriminant_form,
     glue_perp_quotient,
     q_value,

@@ -357,22 +357,17 @@ def _cmd_replay(args):
         target = global_flags if key == "scan_ceiling" else argv
         if isinstance(val, (list, tuple)):
             if any(isinstance(x, (list, tuple)) for x in val):
-                target += [flag, json.dumps(val)]
+                val = json.dumps(val)
             else:
-                target += [flag, ",".join(str(x) for x in val)]
-        else:
-            target += [flag, str(val)]
+                val = ",".join(str(x) for x in val)
+        # One "--flag=value" token, so a value starting with "-" is not read as an option.
+        target.append(f"{flag}={val}")
     return _dispatch(_build_parser().parse_args(global_flags + argv))
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="k3lat", description=__doc__)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument(
-        "--seedless",
-        action="store_true",
-        help="reject any nondeterministic fallback (all built-in paths are deterministic)",
-    )
     parser.add_argument("--scan-ceiling", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -257,10 +257,6 @@ def q_value(form: DiscriminantForm, x) -> Fraction:
     return form.q_of(x)
 
 
-def b_value(form: DiscriminantForm, x, y) -> Fraction:
-    return form.b_of(x, y)
-
-
 @dataclass(frozen=True)
 class FiniteSubgroup:
     """Subgroup of a discriminant group, stored by canonical HNF generators."""
@@ -322,40 +318,16 @@ class FiniteSubgroup:
         k = self.ambient.ngens
         if k == 0:
             return ((), ())
-        rows = [list(g) for g in self.gens]
-        rows += [
-            [self.ambient.orders[i] if i == j else 0 for j in range(k)]
-            for i in range(k)
-        ]
-        basis, _ = mx.hermite_row_form(mx.freeze(rows))
-        basis = mx.freeze([row for row in basis if any(row)])
-        if len(basis) != k:
-            raise InternalConsistencyError("subgroup lattice is not of full rank")
-        diag = mx.freeze(
-            [[self.ambient.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
+        orders = self.ambient.orders
+        # The subgroup is its relation lattice modulo the one of the trivial subgroup.
+        _, _, diag, lifts = _smith_quotient(
+            _relation_basis(orders, self.gens), _relation_basis(orders, ())
         )
-        # basis * c = diag has an integer solution since diag's columns lie in the span.
-        c_rows = []
-        for i in range(k):
-            col = tuple(diag[r][i] for r in range(k))
-            sol = mx.solve_rational(mx.transpose(basis), col)
-            if any(v.denominator != 1 for v in sol):
-                raise InternalConsistencyError("order lattice not contained in subgroup lattice")
-            c_rows.append([int(v) for v in sol])
-        c = mx.transpose(mx.freeze(c_rows))
-        uc, sc, _ = mx.smith_normal_form(c)
-        uc_inv = mx.inverse_unimodular(uc)
-        invariants = []
-        sgens = []
-        for i in range(k):
-            d = abs(sc[i][i])
-            if d <= 1:
-                continue
-            vec = tuple(uc_inv[r][i] for r in range(k))
-            elem = self.ambient.reduce(mx.mat_vec(mx.transpose(basis), vec))
-            invariants.append(d)
-            sgens.append(elem)
-        return (tuple(invariants), tuple(sgens))
+        kept = [i for i in range(k) if diag[i] > 1]
+        return (
+            tuple(diag[i] for i in kept),
+            tuple(self.ambient.reduce(lifts[i]) for i in kept),
+        )
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -383,15 +355,48 @@ class FiniteSubgroup:
         return self._coords[self.ambient.reduce(x)]
 
 
+def _relation_basis(orders: tuple[int, ...], gens) -> mx.Matrix:
+    """HNF row basis of the lattice spanned by gens and the relations orders[i]*e_i.
+
+    This is the preimage in Z^k of the subgroup the gens generate; it has full
+    rank k, so the basis is a k x k upper-triangular matrix.
+    """
+    k = len(orders)
+    relations = [[orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    if not gens:
+        return mx.freeze(relations)  # diag(orders) is already in Hermite form
+    return mx.hermite_row_form(mx.freeze([list(g) for g in gens] + relations))
+
+
+def _smith_quotient(upper: mx.Matrix, lower: mx.Matrix):
+    """Cyclic decomposition of upper/lower, for k x k row bases of lattices lower <= upper.
+
+    Returns (basis, uc, diag, lifts): basis = transpose(upper); uc and diag are
+    the left Smith transform and the absolute Smith diagonal of the coordinates
+    of lower in basis; lifts[i] = basis * (column i of uc^-1) lifts a generator
+    of the quotient of order diag[i] (trivial where diag[i] == 1).
+    """
+    k = len(lower)
+    if len(upper) != k:
+        raise InternalConsistencyError("relation lattice is not of full rank")
+    basis = mx.transpose(upper)
+    c_cols = []
+    for row in lower:
+        sol = mx.solve_rational(basis, row)
+        if any(v.denominator != 1 for v in sol):
+            raise InternalConsistencyError("relation lattice is not inside the larger one")
+        c_cols.append(tuple(int(v) for v in sol))
+    uc, sc, _ = mx.smith_normal_form(mx.transpose(mx.freeze(c_cols)))
+    diag = tuple(abs(sc[i][i]) for i in range(k))
+    lifts = tuple(mx.mat_vec(basis, col) for col in mx.transpose(mx.inverse_unimodular(uc)))
+    return basis, uc, diag, lifts
+
+
 def _canonical_gens(ambient: DiscriminantForm, gens: tuple[Element, ...]) -> tuple[Element, ...]:
-    k = ambient.ngens
-    if k == 0:
+    if ambient.ngens == 0:
         return ()
-    rows = [list(g) for g in gens]
-    rows += [[ambient.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    h, _ = mx.hermite_row_form(mx.freeze(rows))
     out = []
-    for row in h:
+    for row in _relation_basis(ambient.orders, gens):
         red = ambient.reduce(row)
         if any(red):
             out.append(red)
@@ -528,34 +533,12 @@ def _quotient_form(
         return GlueQuotient(
             product, graph, perp, TRIVIAL_FORM, (), (), (), (), ()
         )
-    rows = [list(g) for g in perp.gens]
-    rows += [[product.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    basis_rows, _ = mx.hermite_row_form(mx.freeze(rows))
-    basis_rows = mx.freeze([row for row in basis_rows if any(row)])
-    basis = mx.transpose(basis_rows)  # columns span the perp lattice
-
-    sub_rows = [list(g) for g in graph.gens]
-    sub_rows += [[product.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    sub_basis_rows, _ = mx.hermite_row_form(mx.freeze(sub_rows))
-    sub_basis_rows = mx.freeze([row for row in sub_basis_rows if any(row)])
-    sub_basis = mx.transpose(sub_basis_rows)
-
-    c_cols = []
-    for j in range(k):
-        col = tuple(sub_basis[i][j] for i in range(k))
-        sol = mx.solve_rational(basis, col)
-        if any(v.denominator != 1 for v in sol):
-            raise InternalConsistencyError("graph lattice is not inside the perp lattice")
-        c_cols.append(tuple(int(v) for v in sol))
-    c = mx.transpose(mx.freeze(c_cols))
-    uc, sc, _ = mx.smith_normal_form(c)
-    uc_inv = mx.inverse_unimodular(uc)
-    diag = tuple(abs(sc[i][i]) for i in range(k))
+    basis, uc, diag, lifts = _smith_quotient(
+        _relation_basis(product.orders, perp.gens),
+        _relation_basis(product.orders, graph.gens),
+    )
     kept = tuple(i for i in range(k) if diag[i] > 1)
-    reps = []
-    for i in kept:
-        vec = tuple(uc_inv[r][i] for r in range(k))
-        reps.append(product.reduce(mx.mat_vec(basis, vec)))
+    reps = [product.reduce(lifts[i]) for i in kept]
     orders = tuple(diag[i] for i in kept)
     q = tuple(product.q_of(r) for r in reps)
     b = tuple(tuple(product.b_of(r1, r2) for r2 in reps) for r1 in reps)

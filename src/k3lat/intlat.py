@@ -135,11 +135,6 @@ def identity_embedding(lattice: IntegralLattice) -> SublatticeEmbedding:
     return SublatticeEmbedding(lattice, lattice, mx.identity(lattice.rank))
 
 
-def smith_normal_form(m) -> tuple[mx.Matrix, mx.Matrix, mx.Matrix]:
-    """(U, S, V) with U*m*V = S diagonal, d1 | d2 | ..., det(U), det(V) = +-1."""
-    return mx.smith_normal_form(mx.freeze(m))
-
-
 def is_primitive_sublattice(emb: SublatticeEmbedding) -> bool:
     """True when the image is saturated, i.e. all Smith invariants equal 1."""
     invariants = mx.smith_invariants(emb.matrix)

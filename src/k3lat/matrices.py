@@ -7,6 +7,7 @@ precision), so nothing here can overflow or round.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -179,19 +180,17 @@ def rank(m: Matrix) -> int:
     return len(smith_invariants(m))
 
 
-def hermite_row_form(m: Matrix) -> tuple[Matrix, Matrix]:
-    """Return (H, U) with H = U*m in canonical row Hermite form, U unimodular.
+def hermite_row_form(m: Matrix) -> Matrix:
+    """Basis of the row lattice of m: the nonzero rows of its canonical row HNF.
 
     Pivots are positive, each pivot is the first nonzero entry of its row,
     and entries above a pivot are reduced into [0, pivot).
     """
     rows, cols = shape(m)
     a = [list(row) for row in m]
-    u = [list(row) for row in identity(rows)]
 
     def row_sub(i: int, k: int, q: int) -> None:
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
 
     r = 0
     for c in range(cols):
@@ -203,10 +202,8 @@ def hermite_row_form(m: Matrix) -> tuple[Matrix, Matrix]:
                 break
             i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
             a[r], a[i0] = a[i0], a[r]
-            u[r], u[i0] = u[i0], u[r]
             if a[r][c] < 0:
                 a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
             clean = True
             for i in range(r + 1, rows):
                 if a[i][c]:
@@ -221,7 +218,8 @@ def hermite_row_form(m: Matrix) -> tuple[Matrix, Matrix]:
                 if q:
                     row_sub(i, r, q)
             r += 1
-    return freeze(a), freeze(u)
+    # Rows r.. are zero in every column.
+    return freeze(a[:r])
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -237,9 +235,7 @@ def kernel_basis(m: Matrix) -> Matrix:
     gens = [tuple(v[i][j] for i in range(cols)) for j in free]
     if not gens:
         return tuple(() for _ in range(cols))
-    h, _ = hermite_row_form(freeze(gens))
-    basis_rows = [row for row in h if any(row)]
-    return transpose(freeze(basis_rows))
+    return transpose(hermite_row_form(freeze(gens)))
 
 
 def solve_integer(a: Matrix, b: Vector) -> Vector | None:
@@ -304,15 +300,35 @@ def inverse_unimodular(m: Matrix) -> Matrix:
 
 
 def complete_primitive_column(c: Vector) -> Matrix:
-    """Unimodular matrix whose first column is the primitive vector c."""
-    n = len(c)
-    from math import gcd
+    """Unimodular matrix T whose first column is the primitive vector c.
 
-    content = 0
-    for x in c:
-        content = gcd(content, x)
-    if content != 1:
+    Euclid steps on c (swap the smallest nonzero entry to the front, make it
+    positive, reduce the others by it) reach e1; the inverse of each step is
+    applied as a column operation to T, starting from the identity, so T*a = c
+    holds for the reduced vector a throughout and T*e1 = c at the end.
+    """
+    if gcd(*c) != 1:
         raise ValueError("vector is not primitive")
-    col = freeze([[x] for x in c])
-    _, u = hermite_row_form(col)
-    return inverse_unimodular(u)
+    n = len(c)
+    a = list(c)
+    t = [list(row) for row in identity(n)]
+    while True:
+        i0 = min((i for i in range(n) if a[i]), key=lambda i: (abs(a[i]), i))
+        a[0], a[i0] = a[i0], a[0]
+        for row in t:
+            row[0], row[i0] = row[i0], row[0]
+        if a[0] < 0:
+            a[0] = -a[0]
+            for row in t:
+                row[0] = -row[0]
+        clean = True
+        for i in range(1, n):
+            if a[i]:
+                q = a[i] // a[0]
+                a[i] -= q * a[0]
+                for row in t:
+                    row[0] += q * row[i]
+                if a[i]:
+                    clean = False
+        if clean:
+            return freeze(t)

@@ -142,6 +142,15 @@ def test_determinism_and_replay(tmp_path):
         assert out3 == out1
 
 
+def test_replay_negative_leading_value(tmp_path):
+    # A list input starting with "-" must not be read back as an option.
+    code, out = run(["prime-search", "--qr=-7,3", "--min", "1000", "--count", "2"])
+    assert code == EXIT_OK, out.decode()
+    manifest_path = tmp_path / "m.json"
+    manifest_path.write_bytes(out)
+    assert run(["replay", str(manifest_path)]) == (code, out)
+
+
 def test_replay_disc_form(tmp_path):
     path = write(tmp_path, "l4.json", {"rank": 1, "gram": [[4]]})
     code, out = run(["disc-form", path])

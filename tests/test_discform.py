@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,47 @@ def test_subgroup_structure():
     assert sub.order == 2
     assert (1, 4) in sub
     assert (0, 4) not in sub
+
+
+def _closure(form, gens):
+    """Element set generated by gens, by breadth-first search."""
+    seen = {form.zero()}
+    frontier = [form.zero()]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = form.add(x, form.reduce(g))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def test_subgroup_structure_oracle():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(1, 3)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = 2 * rng.randint(-6, 6)
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+        lattice = IntegralLattice(tuple(map(tuple, gram)))
+        if not 2 <= lattice.disc_abs <= 200:
+            continue
+        form = discriminant_form(lattice)
+        elems = form.elements()
+        gens = [rng.choice(elems) for _ in range(rng.randint(1, 3))]
+        sub = FiniteSubgroup.generated_by(form, gens)
+        order = 1
+        for d in sub.invariant_factors:
+            order *= d
+        assert order == len(sub.elements)
+        assert set(sub.elements) == _closure(form, gens)
+        assert _closure(form, sub.gens) == _closure(form, gens)
+        assert _closure(form, sub.structure_gens) == set(sub.elements)
+        checked += 1
 
 
 def test_subgroup_isometries_examples():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -93,25 +94,29 @@ def test_hermite_row_form_properties():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = random_matrix(rng, rows, cols)
-        h, u = mx.hermite_row_form(m)
-        assert mx.mat_mul(u, m) == h
-        assert abs(mx.det(u)) == 1
+        h = mx.hermite_row_form(m)
+        # H is a basis of the row lattice of m: the two lattices contain each other.
+        assert all(any(row) for row in h)
+        for row in h:
+            assert mx.solve_integer(mx.transpose(m), row) is not None
+        for row in m:
+            if h:
+                assert mx.solve_integer(mx.transpose(h), row) is not None
+            else:
+                assert not any(row)
         # pivots positive, strictly moving right, entries above reduced
         last = -1
-        for row in h:
-            nz = [j for j, x in enumerate(row) if x]
-            if not nz:
-                continue
-            p = nz[0]
+        for i, row in enumerate(h):
+            p = next(j for j, x in enumerate(row) if x)
             assert p > last
             last = p
             assert row[p] > 0
+            assert all(0 <= h[r][p] < row[p] for r in range(i))
         # canonical: same row span gives same form
         perm = list(range(rows))
         rng.shuffle(perm)
         m2 = mx.freeze([m[i] for i in perm])
-        h2, _ = mx.hermite_row_form(m2)
-        assert [r for r in h if any(r)] == [r for r in h2 if any(r)]
+        assert mx.hermite_row_form(m2) == h
 
 
 def test_kernel_basis():
@@ -151,6 +156,21 @@ def test_inverse_unimodular_and_completion():
     assert tuple(t[i][0] for i in range(3)) == (0, 1, -1)
     with pytest.raises(ValueError):
         mx.complete_primitive_column((2, 4))
+
+
+def test_complete_primitive_column_fuzz():
+    rng = random.Random(6)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(1, 5)
+        c = tuple(rng.randint(-40, 40) for _ in range(n))
+        if gcd(*c) != 1:
+            continue
+        t = mx.complete_primitive_column(c)
+        assert mx.shape(t) == (n, n)
+        assert tuple(row[0] for row in t) == c
+        assert abs(mx.det(t)) == 1
+        checked += 1
 
 
 def test_solve_rational():
