@@ -19,7 +19,7 @@ import traceback
 
 from . import __version__
 from .discform import discriminant_form
-from .errors import K3latError
+from .errors import InternalConsistencyError, K3latError, OutputLimitError
 from .intlat import IntegralLattice, SublatticeEmbedding
 from .matrices import freeze
 from .modarith import QRConstraint, prime_search, represent_value
@@ -431,12 +431,18 @@ def _dispatch(args) -> tuple[int, bytes]:
     if args.command == "replay":
         return _cmd_replay(args)
     code, manifest, table = _BUILDERS[args.command](args)
-    if args.format == "csv":
-        if table is None:
-            raise CliUsageError(f"{args.command} has no CSV table form")
-        header, rows = table
-        return code, _render_csv(manifest, header, rows)
-    return code, _canonical_json(manifest)
+    if args.format == "csv" and table is None:
+        raise CliUsageError(f"{args.command} has no CSV table form")
+    try:
+        if args.format == "csv":
+            return code, _render_csv(manifest, *table)
+        return code, _canonical_json(manifest)
+    except ValueError as exc:
+        # The int-to-str conversion limit (sys.set_int_max_str_digits).
+        raise OutputLimitError(
+            f"manifest serialization: an output integer exceeds the digit limit "
+            f"{sys.get_int_max_str_digits()}"
+        ) from exc
 
 
 def run(argv=None) -> tuple[int, bytes]:
@@ -445,8 +451,8 @@ def run(argv=None) -> tuple[int, bytes]:
     try:
         args = parser.parse_args(argv)
         return _dispatch(args)
-    except CliUsageError as exc:
-        return EXIT_INVALID, f"error: {exc}\n".encode()
+    except InternalConsistencyError as exc:
+        return EXIT_INTERNAL, f"error: {exc}\n".encode()
     except K3latError as exc:
         return EXIT_INVALID, f"error: {exc}\n".encode()
 

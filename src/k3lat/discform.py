@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from . import matrices as mx
 from .errors import (
@@ -104,14 +105,7 @@ class DiscriminantForm:
         return tuple((n * a) % o for a, o in zip(x, self.orders, strict=True))
 
     def element_order(self, x: Element) -> int:
-        n = 1
-        cur = self.reduce(x)
-        while any(cur):
-            cur = self.add(cur, x)
-            n += 1
-            if n > self.order:
-                raise InternalConsistencyError("element order exceeded group order")
-        return n
+        return lcm(*(o // gcd(c, o) for c, o in zip(self.reduce(x), self.orders)))
 
     def q_of(self, x) -> Fraction:
         """Value of the quadratic form, canonical representative in [0, 2)."""
@@ -217,19 +211,13 @@ def discriminant_data(lattice: IntegralLattice) -> LatticeDiscriminantData:
     n = lattice.rank
     if n == 0:
         return LatticeDiscriminantData(lattice, TRIVIAL_FORM, (), (), (), ())
-    u, s, _ = mx.smith_normal_form(lattice.gram)
-    diag = tuple(abs(s[i][i]) for i in range(n))
-    # Smith diagonal entries of a nondegenerate Gram are nonzero.
-    u_inv = mx.inverse_unimodular(u)
-    g_inv = mx.inverse_rational(lattice.gram)
+    u, s, v = mx.smith_normal_form(lattice.gram)
+    # Smith diagonal entries of a nondegenerate Gram are positive, and
+    # U*G*V = S gives G^-1 * U^-1 = V * S^-1: the dual vector of class e_i is
+    # column i of V divided by s_ii.
+    diag = tuple(s[i][i] for i in range(n))
     kept = tuple(i for i in range(n) if diag[i] > 1)
-    dual_gens = []
-    for i in kept:
-        z = tuple(u_inv[r][i] for r in range(n))
-        gen = tuple(
-            sum(g_inv[r][c] * z[c] for c in range(n)) for r in range(n)
-        )
-        dual_gens.append(gen)
+    dual_gens = [tuple(Fraction(v[r][i], diag[i]) for r in range(n)) for i in kept]
 
     def pair(i: int, j: int) -> Fraction:
         return sum(
@@ -372,24 +360,34 @@ def _smith_quotient(upper: mx.Matrix, lower: mx.Matrix):
     """Cyclic decomposition of upper/lower, for k x k row bases of lattices lower <= upper.
 
     Returns (basis, uc, diag, lifts): basis = transpose(upper); uc and diag are
-    the left Smith transform and the absolute Smith diagonal of the coordinates
-    of lower in basis; lifts[i] = basis * (column i of uc^-1) lifts a generator
+    the left Smith transform and the Smith diagonal of the coordinates C of
+    lower in basis; lifts[i] = basis * (column i of uc^-1) lifts a generator
     of the quotient of order diag[i] (trivial where diag[i] == 1).
     """
     k = len(lower)
     if len(upper) != k:
         raise InternalConsistencyError("relation lattice is not of full rank")
     basis = mx.transpose(upper)
-    c_cols = []
-    for row in lower:
-        sol = mx.solve_rational(basis, row)
-        if any(v.denominator != 1 for v in sol):
-            raise InternalConsistencyError("relation lattice is not inside the larger one")
-        c_cols.append(tuple(int(v) for v in sol))
-    uc, sc, _ = mx.smith_normal_form(mx.transpose(mx.freeze(c_cols)))
-    diag = tuple(abs(sc[i][i]) for i in range(k))
-    lifts = tuple(mx.mat_vec(basis, col) for col in mx.transpose(mx.inverse_unimodular(uc)))
-    return basis, uc, diag, lifts
+    coords = mx.transpose(mx.freeze(_exact_coordinates(basis, row) for row in lower))
+    uc, sc, vc = mx.smith_normal_form(coords)
+    diag = tuple(sc[i][i] for i in range(k))
+    # uc*C*vc = sc and basis*C = lower^T give basis * uc^-1 = lower^T * vc * sc^-1.
+    spanned = mx.mat_mul(mx.transpose(lower), vc)
+    lifts = []
+    for i in range(k):
+        col = [row[i] for row in spanned]
+        if any(x % diag[i] for x in col):
+            raise InternalConsistencyError("quotient generator lift is not integral")
+        lifts.append(tuple(x // diag[i] for x in col))
+    return basis, uc, diag, tuple(lifts)
+
+
+def _exact_coordinates(basis: mx.Matrix, x) -> mx.Vector:
+    """Integer y with basis * y = x, for x in the lattice the columns of basis span."""
+    sol = mx.solve_rational(basis, x)
+    if any(v.denominator != 1 for v in sol):
+        raise InternalConsistencyError("relation lattice is not inside the larger one")
+    return tuple(int(v) for v in sol)
 
 
 def _canonical_gens(ambient: DiscriminantForm, gens: tuple[Element, ...]) -> tuple[Element, ...]:
@@ -475,22 +473,8 @@ class GlueQuotient:
         """Quotient coordinates of an element of gamma_perp."""
         if x not in self.gamma_perp:
             raise LatticeError("element does not lie in the orthogonal complement")
-        k = self.product.ngens
-        if k == 0:
-            return ()
-        lift = self.product.reduce(x)
-        # Solve basis*y = lift modulo the ambient orders.
-        aug = mx.freeze(
-            [
-                list(self._basis[i])
-                + [self.product.orders[i] if i == j else 0 for j in range(k)]
-                for i in range(k)
-            ]
-        )
-        sol = mx.solve_integer(aug, lift)
-        if sol is None:
-            raise InternalConsistencyError("perp element not in the perp lattice")
-        y = sol[:k]
+        # Every integer lift of a perp element lies in the perp relation lattice.
+        y = _exact_coordinates(self._basis, self.product.reduce(x))
         w = mx.mat_vec(self._uc, y)
         return tuple(w[i] % self._sc_diag[i] for i in self._kept)
 

@@ -29,6 +29,10 @@ class SizeLimitError(K3latError):
     """Finite-group enumeration would exceed the supported size bound."""
 
 
+class OutputLimitError(K3latError):
+    """A computed result is too large to serialize under the interpreter's limits."""
+
+
 class InadmissibleError(K3latError):
     """Integer fails the admissibility congruences / quadratic-residue tests."""
 

@@ -278,27 +278,6 @@ def solve_rational(a: Matrix, b) -> tuple[Fraction, ...]:
     return tuple(aug[i][n] for i in range(n))
 
 
-def inverse_rational(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a nonsingular integer matrix, entries as Fractions."""
-    n = len(m)
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        cols.append(solve_rational(m, e))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def inverse_unimodular(m: Matrix) -> Matrix:
-    """Integer inverse of a matrix with determinant +-1."""
-    inv = inverse_rational(m)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
-
-
 def complete_primitive_column(c: Vector) -> Matrix:
     """Unimodular matrix T whose first column is the primitive vector c.
 

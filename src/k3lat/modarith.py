@@ -77,7 +77,7 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while legendre(z, p) != -1:
+    while pow(z, (p - 1) // 2, p) != p - 1:  # Euler's criterion; p is known prime
         z += 1
     c = pow(z, q, p)
     x = pow(a, (q + 1) // 2, p)
@@ -149,7 +149,8 @@ def prime_search(
             raise ScanCeilingError(
                 f"no further primes below the scan ceiling {scan_ceiling}; found {out}"
             )
-        if is_prime(p) and all(legendre(x, p) == 1 for x in constraint.values):
+        # Euler's criterion directly: legendre would test p for primality again.
+        if is_prime(p) and all(pow(x, (p - 1) // 2, p) == 1 for x in constraint.values):
             out.append(p)
         p += 8
     return out

@@ -447,19 +447,18 @@ def _y_candidates(x, q12, q22, n, bound):
                 yield (ye, yf, (r - xg * yf) // xf)
 
 
-def realize_embedding(
+def embedding_witnesses(
     source: IntegralLattice,
     n: int,
     glue: GluingData,
     search_bound: int,
     sign: SignConvention = DEFAULT_SIGN,
-) -> EmbeddingSearchResult:
-    """Search for explicit columns realizing a valid glue inside <2n> + U.
+):
+    """Explicit primitive embeddings realizing a valid glue inside <2n> + U, lazily.
 
     The first branch fixes the image of the first basis vector to
     (0, 1, q11/2) and scans the hyperbolic coordinate; later branches run the
-    same scan over the other norm-q11 divisor shapes (x_e, x_f, x_g).  On
-    exhaustion the glue itself is the (existence-only) certificate.
+    same scan over the other norm-q11 divisor shapes (x_e, x_f, x_g).
     """
     glue.validate(sign)
     if glue.ambient_n != n:
@@ -468,25 +467,39 @@ def realize_embedding(
         raise LatticeError("glue source form does not match the given lattice")
     if search_bound < 0:
         raise LatticeError("search bound must be nonnegative")
+    if search_bound == 0:
+        return
     target = polarization_lattice(n)
     q11 = source.gram[0][0]
     q12 = source.gram[0][1]
     q22 = source.gram[1][1]
-    if search_bound > 0:
-        for xe in _signed_range(search_bound):
-            p = q11 // 2 - n * xe * xe
-            for xf, xg in _divisor_pairs(p, search_bound):
-                x = (xe, xf, xg)
-                if target.norm(x) != q11:
-                    raise InternalConsistencyError("x candidate has wrong norm")
-                for y in _y_candidates(x, q12, q22, n, search_bound):
-                    matrix = mx.freeze([[x[i], y[i]] for i in range(3)])
-                    invariants = mx.smith_invariants(matrix)
-                    if len(invariants) != 2 or any(v != 1 for v in invariants):
-                        continue
-                    emb = SublatticeEmbedding(source, target, matrix)
-                    return EmbeddingSearchResult("witness", emb, glue)
-    return EmbeddingSearchResult("certificate_only", None, glue)
+    for xe in _signed_range(search_bound):
+        p = q11 // 2 - n * xe * xe
+        for xf, xg in _divisor_pairs(p, search_bound):
+            x = (xe, xf, xg)
+            if target.norm(x) != q11:
+                raise InternalConsistencyError("x candidate has wrong norm")
+            for y in _y_candidates(x, q12, q22, n, search_bound):
+                matrix = mx.freeze([[x[i], y[i]] for i in range(3)])
+                invariants = mx.smith_invariants(matrix)
+                if len(invariants) != 2 or any(v != 1 for v in invariants):
+                    continue
+                yield SublatticeEmbedding(source, target, matrix)
+
+
+def realize_embedding(
+    source: IntegralLattice,
+    n: int,
+    glue: GluingData,
+    search_bound: int,
+    sign: SignConvention = DEFAULT_SIGN,
+) -> EmbeddingSearchResult:
+    """The first of `embedding_witnesses`; on exhaustion the glue itself is the
+    (existence-only) certificate."""
+    emb = next(embedding_witnesses(source, n, glue, search_bound, sign), None)
+    if emb is None:
+        return EmbeddingSearchResult("certificate_only", None, glue)
+    return EmbeddingSearchResult("witness", emb, glue)
 
 
 def brute_force_embeddings(

@@ -1,11 +1,17 @@
 import json
+import sys
 
+import pytest
+
+import k3lat.cli
 from k3lat.cli import (
     EXIT_CERTIFICATE_ONLY,
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
     run,
 )
+from k3lat.errors import InternalConsistencyError
 
 
 def write(tmp_path, name, doc):
@@ -61,6 +67,38 @@ def test_zarhin_cli():
     assert doc["outputs"]["r"] == 12
     assert doc["outputs"]["q_l"] == 2
     assert doc["outputs"]["v"] == {"a": 1, "d": [0], "c": -1}
+
+
+@pytest.mark.parametrize("m", [29, 157, 397])
+def test_zarhin_skips_witnesses_failing_condition_c(m):
+    # The first embedding witness for these m has gcd(rk, H.c1, lambda) = 2.
+    code, doc = payload_of(["zarhin", "--d", "1", "--m", str(m)])
+    assert code == EXIT_OK
+    assert doc["outputs"]["status"] == "witness"
+    assert doc["outputs"]["checks"]["condition_C"]["passed"] is True
+
+
+def test_internal_error_exit_code(monkeypatch):
+    def broken(*args):
+        raise InternalConsistencyError("simulated")
+
+    monkeypatch.setattr(k3lat.cli, "zarhin_construct", broken)
+    assert run(["zarhin", "--d", "1", "--m", "5"]) == (EXIT_INTERNAL, b"error: simulated\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_digit_limit(fmt):
+    # The partner discriminant at n = 20 is about ell^40, some 740 digits.
+    argv = ["--format", fmt, "twisted-run", "--d", "1", "--ell", str(2**61 - 1), "--n-max", "20"]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run(argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == EXIT_INVALID
+    assert out.startswith(b"error: manifest serialization:") and b"640" in out
+    assert out.count(b"\n") == 1 and out.endswith(b"\n")
 
 
 def test_twisted_run_json_and_csv():

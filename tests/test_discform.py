@@ -98,6 +98,46 @@ def test_subgroup_structure():
     assert (0, 4) not in sub
 
 
+def _random_even_lattice(rng, max_rank=3, max_disc=200):
+    """A random even nondegenerate lattice with 2 <= |disc| <= max_disc."""
+    while True:
+        n = rng.randint(1, max_rank)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = 2 * rng.randint(-6, 6)
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+        lattice = IntegralLattice(tuple(map(tuple, gram)))
+        if 2 <= lattice.disc_abs <= max_disc:
+            return lattice
+
+
+def test_dual_gens_property():
+    # Each dual generator lies in L^*, s_ii times it lies in L, and it is its own unit class.
+    rng = random.Random(11)
+    for _ in range(60):
+        lattice = _random_even_lattice(rng, max_rank=4, max_disc=400)
+        data = discriminant_data(lattice)
+        k = data.form.ngens
+        for i, gen in enumerate(data.dual_gens):
+            for row in lattice.gram:
+                assert sum(g * x for g, x in zip(row, gen)).denominator == 1
+            assert all((data.form.orders[i] * x).denominator == 1 for x in gen)
+            assert data.class_of(gen) == tuple(1 if j == i else 0 for j in range(k))
+
+
+def test_element_order_matches_repeated_addition():
+    rng = random.Random(12)
+    for _ in range(8):
+        form = discriminant_form(_random_even_lattice(rng))
+        for x in form.elements():
+            n, cur = 1, x
+            while any(cur):
+                cur = form.add(cur, x)
+                n += 1
+            assert form.element_order(x) == n
+
+
 def _closure(form, gens):
     """Element set generated by gens, by breadth-first search."""
     seen = {form.zero()}
@@ -116,16 +156,7 @@ def test_subgroup_structure_oracle():
     rng = random.Random(7)
     checked = 0
     while checked < 40:
-        n = rng.randint(1, 3)
-        gram = [[0] * n for _ in range(n)]
-        for i in range(n):
-            gram[i][i] = 2 * rng.randint(-6, 6)
-            for j in range(i):
-                gram[i][j] = gram[j][i] = rng.randint(-4, 4)
-        lattice = IntegralLattice(tuple(map(tuple, gram)))
-        if not 2 <= lattice.disc_abs <= 200:
-            continue
-        form = discriminant_form(lattice)
+        form = discriminant_form(_random_even_lattice(rng))
         elems = form.elements()
         gens = [rng.choice(elems) for _ in range(rng.randint(1, 3))]
         sub = FiniteSubgroup.generated_by(form, gens)
@@ -188,16 +219,20 @@ def test_glue_diag22_into_degree2():
     assert res.quotient.q == (Fraction(1, 2),)
 
 
-def test_glue_counting_identity():
-    # |quotient| * |graph|^2 = |A_src| * |A_amb| for nondegenerate ambient pairing.
-    cases = []
+def _glue_cases():
     a_src = discriminant_form(IntegralLattice(((2, 0), (0, 2))))
     a_amb = discriminant_form(rank_one(2))
     v = FiniteSubgroup.generated_by(a_src, [(1, 0)])
-    cases.append((a_src, a_amb, subgroup_isometries(v, FiniteSubgroup.full(a_amb))[0]))
     t = FiniteSubgroup.trivial(a_src)
-    cases.append((a_src, a_amb, subgroup_isometries(t, FiniteSubgroup.trivial(a_amb))[0]))
-    for src, amb, gamma in cases:
+    return [
+        (a_src, a_amb, subgroup_isometries(v, FiniteSubgroup.full(a_amb))[0]),
+        (a_src, a_amb, subgroup_isometries(t, FiniteSubgroup.trivial(a_amb))[0]),
+    ]
+
+
+def test_glue_counting_identity():
+    # |quotient| * |graph|^2 = |A_src| * |A_amb| for nondegenerate ambient pairing.
+    for src, amb, gamma in _glue_cases():
         res = glue_perp_quotient(src, amb, gamma)
         assert res.quotient.order * res.gamma.order**2 == src.order * amb.order
 
@@ -214,6 +249,18 @@ def test_glue_project():
     rep = res.reps[0]
     assert res.project(rep) == (1,)
     assert res.quotient.q_of(res.project(rep)) == res.product.q_of(rep)
+
+    # On every glue case, project is a surjective homomorphism with kernel gamma.
+    for src, amb, gamma in _glue_cases():
+        res = glue_perp_quotient(src, amb, gamma)
+        perp = res.gamma_perp.elements
+        zero = res.quotient.zero()
+        for x in perp:
+            assert (res.project(x) == zero) == (x in res.gamma)
+            for y in perp:
+                expected = res.quotient.add(res.project(x), res.project(y))
+                assert res.project(res.product.add(x, y)) == expected
+        assert {res.project(x) for x in perp} == set(res.quotient.elements())
 
 
 def test_size_limit():
