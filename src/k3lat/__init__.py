@@ -33,7 +33,6 @@ from .discform import (
 from .nikulin import (
     ExtensionCertificate,
     GluingData,
-    SignConvention,
     admissible_m,
     embedding_to_glue,
     extend_glue,

@@ -21,7 +21,6 @@ from . import __version__
 from .discform import discriminant_form
 from .errors import InternalConsistencyError, K3latError, OutputLimitError
 from .intlat import IntegralLattice, SublatticeEmbedding
-from .matrices import freeze
 from .modarith import QRConstraint, prime_search, represent_value
 from .mukai import (
     MukaiVector,
@@ -46,7 +45,7 @@ EXIT_INTERNAL = 3
 
 
 class CliUsageError(K3latError):
-    """Bad command line or malformed input file."""
+    """Bad command line, or a malformed input file or manifest."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,13 +77,13 @@ def _load_json_file(path: str):
         raise CliUsageError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the int-to-str digit limit
+        raise CliUsageError(f"cannot read {path}: {exc}") from exc
 
 
 def lattice_from_json(doc) -> IntegralLattice:
-    if not isinstance(doc, dict) or "gram" not in doc:
-        raise CliUsageError('lattice JSON must be an object with a "gram" key')
-    gram = doc["gram"]
-    lattice = IntegralLattice(freeze(gram))
+    """The lattice of a lattice object that `_decode` accepted."""
+    lattice = IntegralLattice(doc["gram"])
     if "rank" in doc and doc["rank"] != lattice.rank:
         raise CliUsageError(
             f'lattice JSON "rank" is {doc["rank"]} but the Gram matrix has rank {lattice.rank}'
@@ -104,40 +103,11 @@ def embedding_to_json(emb: SublatticeEmbedding) -> dict:
     }
 
 
-def vector_from_json(doc) -> tuple[int, ...]:
-    if not isinstance(doc, dict) or "coords" not in doc:
-        raise CliUsageError('vector JSON must be an object with a "coords" key')
-    return tuple(int(x) for x in doc["coords"])
-
-
 def vector_to_json(coords) -> dict:
     return {"coords": [int(x) for x in coords]}
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise CliUsageError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _ns_from_args(args) -> NeronSeveriData:
-    if getattr(args, "ns_file", None):
-        doc = _load_json_file(args.ns_file)
-        if not isinstance(doc, dict) or "gram" not in doc:
-            raise CliUsageError('NS JSON must be an object with a "gram" key')
-        return NeronSeveriData(freeze(doc["gram"]), doc.get("h_index", 0))
-    if getattr(args, "ns_gram", None):
-        try:
-            gram = json.loads(args.ns_gram)
-        except json.JSONDecodeError as exc:
-            raise CliUsageError(f"--ns-gram is not valid JSON: {exc.msg}") from exc
-        return NeronSeveriData(freeze(gram), args.h_index)
-    raise CliUsageError("one of --ns-file or --ns-gram is required")
-
-
-def _mukai_from_arg(text: str, rank: int) -> MukaiVector:
-    parts = _parse_int_list(text)
+def _mukai_vector(parts: list, rank: int) -> MukaiVector:
     if len(parts) != rank + 2:
         raise CliUsageError(
             f"Mukai vector needs {rank + 2} components (a, D_1..D_{rank}, c), got {len(parts)}"
@@ -145,32 +115,87 @@ def _mukai_from_arg(text: str, rank: int) -> MukaiVector:
     return MukaiVector(parts[0], parts[1:-1], parts[-1])
 
 
-def _scan_ceiling(args) -> int | None:
-    if args.scan_ceiling is not None:
-        return args.scan_ceiling
-    env = os.environ.get(SCAN_CEILING_ENV)
-    return int(env) if env else None
+# ---------------------------------------------------------------------------
+# the inputs each command's manifest records, and the check on each value
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_ints(x) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+def _is_matrix(x) -> bool:
+    return isinstance(x, list) and all(_is_ints(row) and len(row) == len(x) for row in x)
+
+
+def _is_lattice(x) -> bool:
+    return isinstance(x, dict) and _is_matrix(x.get("gram"))
+
+
+_INT = ("an integer", _is_int)
+_INTS = ("a list of integers", _is_ints)
+_MATRIX = ("a square integer matrix", _is_matrix)
+_LATTICE = ('a lattice object whose "gram" is a square integer matrix', _is_lattice)
+
+_INPUTS = {
+    "disc-form": {"lattice": _LATTICE},
+    "embed": {"d": _INT, "m": _INT, "lsq": _INT, "search_bound": _INT},
+    "zarhin": {"d": _INT, "m": _INT, "lsq": _INT, "search_bound": _INT},
+    "twisted-run": {"d": _INT, "ell": _INT, "n_max": _INT, "e": _INT},
+    "disc-chain": {"ns_gram": _MATRIX, "h_index": _INT, "v": _INTS, "partner_disc": _INT},
+    "prime-search": {"qr": _INTS, "min": _INT, "count": _INT, "scan_ceiling": _INT},
+    "rep": {"gram": _MATRIX, "target": _INT, "ell": _INT, "prec": _INT},
+    "mukai": {"ns_gram": _MATRIX, "h_index": _INT, "v": _INTS, "w": _INTS},
+}
+
+# The inputs of options that may be left unset.
+_NULLABLE = frozenset({"lsq", "e", "partner_disc", "w", "scan_ceiling"})
+
+
+def _decode(command: str, inputs) -> dict:
+    """Check `inputs` against what `command`'s manifests record, and return them.
+
+    The command line and a replayed manifest both reach the builders through here.
+    """
+    kinds = _INPUTS[command]
+    if not isinstance(inputs, dict) or inputs.keys() != kinds.keys():
+        raise CliUsageError(
+            f"{command} inputs must be an object with exactly the keys {', '.join(sorted(kinds))}"
+        )
+    for key, (kind, check) in kinds.items():
+        value = inputs[key]
+        if value is None and key in _NULLABLE:
+            continue
+        if not check(value):
+            or_null = " or null" if key in _NULLABLE else ""
+            raise CliUsageError(f"{command} input {key} must be {kind}{or_null}")
+    return inputs
 
 
 # ---------------------------------------------------------------------------
-# subcommand payload builders: each returns (exit_code, manifest dict, rows)
-# where rows is None for JSON-only commands and a (header, rows) pair for CSV.
+# subcommand payload builders: each takes the decoded inputs and returns
+# (exit_code, manifest dict, rows) where rows is None for JSON-only commands
+# and a (header, rows) pair for CSV.
 
 
-def _cmd_disc_form(args):
-    lattice = lattice_from_json(_load_json_file(args.lattice_file))
+def _cmd_disc_form(inputs):
+    lattice = lattice_from_json(inputs["lattice"])
     form = discriminant_form(lattice)
-    inputs = {"lattice": lattice_to_json(lattice)}
+    recorded = {"lattice": lattice_to_json(lattice)}
     checks = [["order_matches_det", form.order == lattice.disc_abs]]
-    return EXIT_OK, _manifest("disc-form", inputs, form.to_json_dict(), checks), None
+    return EXIT_OK, _manifest("disc-form", recorded, form.to_json_dict(), checks), None
 
 
-def _cmd_embed(args):
-    seed = build_seed(args.d, args.lsq)
+def _cmd_embed(inputs):
+    d, m = inputs["d"], inputs["m"]
+    seed = build_seed(d, inputs["lsq"])
     glue = embedding_to_glue(seed.embedding)
-    extended, cert = extend_glue(glue, args.d, args.m)
+    extended, cert = extend_glue(glue, d, m)
     n = extended.ambient_n
-    result = realize_embedding(seed.lattice, n, extended, args.search_bound)
+    result = realize_embedding(seed.lattice, n, extended, inputs["search_bound"])
     outputs = {
         "ambient_n": n,
         "status": result.status,
@@ -179,33 +204,22 @@ def _cmd_embed(args):
         "embedding": None if result.embedding is None else embedding_to_json(result.embedding),
     }
     checks = [["glue_valid", True], ["witness_found", result.found]]
-    inputs = {
-        "d": args.d,
-        "m": args.m,
-        "lsq": seed.lattice.gram[1][1],
-        "search_bound": args.search_bound,
-    }
+    recorded = {**inputs, "lsq": seed.lattice.gram[1][1]}
     code = EXIT_OK if result.found else EXIT_CERTIFICATE_ONLY
-    return code, _manifest("embed", inputs, outputs, checks), None
+    return code, _manifest("embed", recorded, outputs, checks), None
 
 
-def _cmd_zarhin(args):
-    cert = zarhin_construct(args.d, args.m, args.lsq, args.search_bound)
-    inputs = {
-        "d": args.d,
-        "m": args.m,
-        "lsq": cert.lsq,
-        "search_bound": args.search_bound,
-    }
+def _cmd_zarhin(inputs):
+    cert = zarhin_construct(inputs["d"], inputs["m"], inputs["lsq"], inputs["search_bound"])
+    recorded = {**inputs, "lsq": cert.lsq}
     checks = [[name, bool(val)] for name, val in sorted(cert.checks.items())
               if isinstance(val, bool)]
     code = EXIT_OK if cert.realized else EXIT_CERTIFICATE_ONLY
-    return code, _manifest("zarhin", inputs, cert.to_json_dict(), checks), None
+    return code, _manifest("zarhin", recorded, cert.to_json_dict(), checks), None
 
 
-def _cmd_twisted_run(args):
-    records = witness_sequence(args.d, args.ell, args.n_max, e=args.e)
-    inputs = {"d": args.d, "ell": args.ell, "n_max": args.n_max, "e": args.e}
+def _cmd_twisted_run(inputs):
+    records = witness_sequence(inputs["d"], inputs["ell"], inputs["n_max"], e=inputs["e"])
     outputs = [rec.to_json_dict() for rec in records]
     checks = [
         ["identities_hold", all(
@@ -222,7 +236,7 @@ def _cmd_twisted_run(args):
             rec.n,
             rec.r,
             0,
-            rec.identities.get("h_sq", ""),
+            rec.identities["h_sq"],
             rec.n_v,
             rec.partner_disc_abs,
             rec.ell_valuation,
@@ -232,16 +246,10 @@ def _cmd_twisted_run(args):
     return EXIT_OK, _manifest("twisted-run", inputs, outputs, checks), (header, rows)
 
 
-def _cmd_disc_chain(args):
-    ns = _ns_from_args(args)
-    v = _mukai_from_arg(args.v, ns.rank)
-    report = disc_comparison_chain(ns, v, args.partner_disc)
-    inputs = {
-        "ns_gram": [list(row) for row in ns.gram],
-        "h_index": ns.h_index,
-        "v": list(v.components()),
-        "partner_disc": args.partner_disc,
-    }
+def _cmd_disc_chain(inputs):
+    ns = NeronSeveriData(inputs["ns_gram"], inputs["h_index"])
+    v = _mukai_vector(inputs["v"], ns.rank)
+    report = disc_comparison_chain(ns, v, inputs["partner_disc"])
     checks = [
         ["identity", report.identity_holds],
         ["inequality", report.inequality_holds],
@@ -249,53 +257,29 @@ def _cmd_disc_chain(args):
     return EXIT_OK, _manifest("disc-chain", inputs, report.to_json_dict(), checks), None
 
 
-def _cmd_prime_search(args):
-    values = _parse_int_list(args.qr) if args.qr else ()
-    constraint = QRConstraint(values)
-    primes = prime_search(constraint, args.min, args.count, _scan_ceiling(args))
-    inputs = {
-        "qr": list(values),
-        "min": args.min,
-        "count": args.count,
-        "scan_ceiling": _scan_ceiling(args),
-    }
+def _cmd_prime_search(inputs):
+    constraint = QRConstraint(inputs["qr"])
+    primes = prime_search(constraint, inputs["min"], inputs["count"], inputs["scan_ceiling"])
     outputs = {"primes": primes}
-    checks = [["count_reached", len(primes) == args.count]]
+    checks = [["count_reached", len(primes) == inputs["count"]]]
     return EXIT_OK, _manifest("prime-search", inputs, outputs, checks), None
 
 
-def _cmd_rep(args):
-    if args.gram_file:
-        doc = _load_json_file(args.gram_file)
-        gram = doc["gram"] if isinstance(doc, dict) else doc
-    elif args.gram:
-        # Inline JSON, or a path to a JSON file holding the Gram matrix.
-        try:
-            gram = json.loads(args.gram)
-        except json.JSONDecodeError:
-            doc = _load_json_file(args.gram)
-            gram = doc["gram"] if isinstance(doc, dict) else doc
-    else:
-        raise CliUsageError("one of --gram-file or --gram is required")
-    x = represent_value(freeze(gram), args.target, args.ell, args.prec)
+def _cmd_rep(inputs):
+    gram, target, ell, prec = inputs["gram"], inputs["target"], inputs["ell"], inputs["prec"]
+    x = represent_value(gram, target, ell, prec)
     value = sum(
         x[i] * gram[i][j] * x[j] for i in range(len(x)) for j in range(len(x))
     )
-    modulus = args.ell**args.prec
-    inputs = {
-        "gram": [list(row) for row in gram],
-        "target": args.target,
-        "ell": args.ell,
-        "prec": args.prec,
-    }
+    modulus = ell**prec
     outputs = {"x": vector_to_json(x), "value": value, "modulus": modulus}
-    checks = [["congruence", value % modulus == args.target % modulus]]
+    checks = [["congruence", value % modulus == target % modulus]]
     return EXIT_OK, _manifest("rep", inputs, outputs, checks), None
 
 
-def _cmd_mukai(args):
-    ns = _ns_from_args(args)
-    v = _mukai_from_arg(args.v, ns.rank)
+def _cmd_mukai(inputs):
+    ns = NeronSeveriData(inputs["ns_gram"], inputs["h_index"])
+    v = _mukai_vector(inputs["v"], ns.rank)
     verdict = check_condition_C(v, ns)
     square = mukai_square(v, ns)
     outputs = {
@@ -305,17 +289,11 @@ def _cmd_mukai(args):
     }
     if square >= 0 and square % 2 == 0:
         outputs["moduli_dimension"] = moduli_dimension(v, ns)
-    if args.w:
-        w = _mukai_from_arg(args.w, ns.rank)
+    if inputs["w"] is not None:
+        w = _mukai_vector(inputs["w"], ns.rank)
         outputs["w"] = w.to_json_dict()
         outputs["pairing"] = mukai_pairing(v, w, ns)
         outputs["euler_characteristic"] = euler_characteristic(v, w, ns)
-    inputs = {
-        "ns_gram": [list(row) for row in ns.gram],
-        "h_index": ns.h_index,
-        "v": list(v.components()),
-        "w": list(_mukai_from_arg(args.w, ns.rank).components()) if args.w else None,
-    }
     checks = [["condition_C", verdict.passed]]
     return EXIT_OK, _manifest("mukai", inputs, outputs, checks), None
 
@@ -332,37 +310,76 @@ _BUILDERS = {
 }
 
 
-def _cmd_replay(args):
-    doc = _load_json_file(args.manifest_file)
+# ---------------------------------------------------------------------------
+# the two sources of inputs: a command line and a saved manifest
+
+
+class _JsonFile(str):
+    """An option value naming a JSON file, which `_inputs_from_args` reads."""
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError as exc:
+        raise CliUsageError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _ns_gram(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliUsageError(f"--ns-gram is not valid JSON: {exc.msg}") from exc
+
+
+def _json_or_file(text: str):
+    """Inline JSON, or else the path of a JSON file."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return _JsonFile(text)
+
+
+def _inputs_from_args(args) -> dict:
+    """The manifest inputs of a command line: the JSON files its options name are
+    read, and K3LAT_SCAN_CEILING stands in for an unset --scan-ceiling."""
+    given = dict(vars(args))
+    if args.command == "disc-form":
+        given["lattice"] = _load_json_file(args.lattice_file)
+    elif args.command in ("disc-chain", "mukai"):
+        if args.ns_file:
+            doc = _load_json_file(args.ns_file)
+            if not isinstance(doc, dict) or "gram" not in doc:
+                raise CliUsageError('NS JSON must be an object with a "gram" key')
+            given["ns_gram"], given["h_index"] = doc["gram"], doc.get("h_index", 0)
+        elif args.ns_gram is None:
+            raise CliUsageError("one of --ns-file or --ns-gram is required")
+    elif args.command == "rep":
+        gram = args.gram_file or args.gram
+        if gram is None:
+            raise CliUsageError("one of --gram-file or --gram is required")
+        if isinstance(gram, _JsonFile):
+            doc = _load_json_file(gram)
+            gram = doc.get("gram") if isinstance(doc, dict) else doc
+        given["gram"] = gram
+    elif args.command == "prime-search" and args.scan_ceiling is None:
+        env = os.environ.get(SCAN_CEILING_ENV)
+        try:
+            given["scan_ceiling"] = int(env) if env else None
+        except ValueError as exc:
+            raise CliUsageError(f"{SCAN_CEILING_ENV} must be an integer, got {env!r}") from exc
+    return {key: given[key] for key in _INPUTS[args.command]}
+
+
+def _manifest_inputs(path: str) -> tuple[str, object]:
+    """The command and the recorded inputs of a saved manifest."""
+    doc = _load_json_file(path)
     if not isinstance(doc, dict) or "command" not in doc or "inputs" not in doc:
         raise CliUsageError("replay needs a manifest with 'command' and 'inputs'")
     command = doc["command"]
-    if command not in _BUILDERS:
+    if not isinstance(command, str) or command not in _BUILDERS:
         raise CliUsageError(f"manifest names unknown command {command!r}")
-    inputs = doc["inputs"]
-    if command == "disc-form":
-        # The manifest embeds the lattice itself, so rebuild the payload directly.
-        lattice = lattice_from_json(inputs["lattice"])
-        form = discriminant_form(lattice)
-        checks = [["order_matches_det", form.order == lattice.disc_abs]]
-        manifest = _manifest("disc-form", {"lattice": lattice_to_json(lattice)},
-                             form.to_json_dict(), checks)
-        return EXIT_OK, _canonical_json(manifest)
-    global_flags: list[str] = []
-    argv: list[str] = [command]
-    for key, val in sorted(inputs.items()):
-        if val is None:
-            continue
-        flag = "--" + key.replace("_", "-")
-        target = global_flags if key == "scan_ceiling" else argv
-        if isinstance(val, (list, tuple)):
-            if any(isinstance(x, (list, tuple)) for x in val):
-                val = json.dumps(val)
-            else:
-                val = ",".join(str(x) for x in val)
-        # One "--flag=value" token, so a value starting with "-" is not read as an option.
-        target.append(f"{flag}={val}")
-    return _dispatch(_build_parser().parse_args(global_flags + argv))
+    return command, doc["inputs"]
 
 
 def _build_parser() -> _Parser:
@@ -389,29 +406,29 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("disc-chain", help="discriminant comparison for v_perp")
     p.add_argument("--ns-file")
-    p.add_argument("--ns-gram")
+    p.add_argument("--ns-gram", type=_ns_gram)
     p.add_argument("--h-index", type=int, default=0)
-    p.add_argument("--v", required=True)
+    p.add_argument("--v", type=_int_list, required=True)
     p.add_argument("--partner-disc", type=int, default=None)
 
     p = sub.add_parser("prime-search", help="primes making given values residues")
-    p.add_argument("--qr", default="")
+    p.add_argument("--qr", type=_int_list, default="")
     p.add_argument("--min", type=int, default=3)
     p.add_argument("--count", type=int, default=1)
 
     p = sub.add_parser("rep", help="represent a value of a quadratic form mod ell^k")
-    p.add_argument("--gram-file")
-    p.add_argument("--gram")
+    p.add_argument("--gram-file", type=_JsonFile)
+    p.add_argument("--gram", type=_json_or_file)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--prec", type=int, default=1)
 
     p = sub.add_parser("mukai", help="pairings and the fine-moduli criterion")
     p.add_argument("--ns-file")
-    p.add_argument("--ns-gram")
+    p.add_argument("--ns-gram", type=_ns_gram)
     p.add_argument("--h-index", type=int, default=0)
-    p.add_argument("--v", required=True)
-    p.add_argument("--w", default=None)
+    p.add_argument("--v", type=_int_list, required=True)
+    p.add_argument("--w", type=_int_list, default=None)
 
     p = sub.add_parser("replay", help="re-run a saved manifest")
     p.add_argument("manifest_file")
@@ -427,14 +444,12 @@ def _render_csv(manifest: dict, header: list, rows: list) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _dispatch(args) -> tuple[int, bytes]:
-    if args.command == "replay":
-        return _cmd_replay(args)
-    code, manifest, table = _BUILDERS[args.command](args)
-    if args.format == "csv" and table is None:
-        raise CliUsageError(f"{args.command} has no CSV table form")
+def _dispatch(command: str, inputs, fmt: str) -> tuple[int, bytes]:
+    code, manifest, table = _BUILDERS[command](_decode(command, inputs))
+    if fmt == "csv" and table is None:
+        raise CliUsageError(f"{command} has no CSV table form")
     try:
-        if args.format == "csv":
+        if fmt == "csv":
             return code, _render_csv(manifest, *table)
         return code, _canonical_json(manifest)
     except ValueError as exc:
@@ -446,11 +461,18 @@ def _dispatch(args) -> tuple[int, bytes]:
 
 
 def run(argv=None) -> tuple[int, bytes]:
-    """Parse and execute; returns (exit_code, output_bytes)."""
-    parser = _build_parser()
+    """Parse and execute; returns (exit_code, output_bytes).
+
+    `replay` runs the builder of the manifest's command on the manifest's
+    recorded inputs alone, through the same decode step as a command line.
+    """
     try:
-        args = parser.parse_args(argv)
-        return _dispatch(args)
+        args = _build_parser().parse_args(argv)
+        if args.command == "replay":
+            command, inputs = _manifest_inputs(args.manifest_file)
+        else:
+            command, inputs = args.command, _inputs_from_args(args)
+        return _dispatch(command, inputs, args.format)
     except InternalConsistencyError as exc:
         return EXIT_INTERNAL, f"error: {exc}\n".encode()
     except K3latError as exc:

@@ -25,6 +25,10 @@ class OddLatticeError(LatticeError):
     """Operation requires an even lattice."""
 
 
+class InvalidInputError(K3latError, ValueError):
+    """An argument lies outside the range the function accepts."""
+
+
 class SizeLimitError(K3latError):
     """Finite-group enumeration would exceed the supported size bound."""
 

@@ -14,6 +14,7 @@ from math import gcd
 
 from . import matrices as mx
 from .errors import (
+    InvalidInputError,
     NotPrimeError,
     ScanCeilingError,
     UnrepresentableError,
@@ -107,7 +108,7 @@ def crt(residues: list[tuple[int, int]]) -> int:
     for r, mod in residues[1:]:
         g = gcd(m, mod)
         if g != 1:
-            raise ValueError(f"moduli {m} and {mod} are not coprime")
+            raise InvalidInputError(f"moduli {m} and {mod} are not coprime")
         # x + m*k = r mod mod
         k = ((r - x) * pow(m, -1, mod)) % mod
         x += m * k
@@ -124,7 +125,7 @@ class QRConstraint:
     def __post_init__(self):
         vals = tuple(int(v) for v in self.values)
         if any(v == 0 for v in vals):
-            raise ValueError("constraint values must be nonzero")
+            raise InvalidInputError("constraint values must be nonzero")
         object.__setattr__(self, "values", vals)
 
 
@@ -140,7 +141,7 @@ def prime_search(
     constraint values are tested directly.  Results are in ascending order.
     """
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise InvalidInputError("count must be at least 1")
     out: list[int] = []
     start = max(minimum, 3)
     p = start + ((1 - start) % 8)
@@ -180,7 +181,7 @@ def represent_value(
     if n == 0:
         raise UnrepresentableError("rank-0 form represents nothing")
     if k < 1:
-        raise ValueError("precision must be at least 1")
+        raise InvalidInputError("precision must be at least 1")
     if ell < 3 or not is_prime(ell):
         raise NotPrimeError(f"{ell} is not an odd prime")
     if mx.det(g) % ell == 0:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from . import matrices as mx
-from .errors import LatticeError, NotIsotropicError, RankMismatchError
+from .errors import InvalidInputError, LatticeError, NotIsotropicError, RankMismatchError
 from .intlat import (
     IntegralLattice,
     index_of_sublattice,
@@ -229,6 +229,8 @@ def disc_comparison_chain(
     The residual ratio |disc(v_perp)| / partner_disc is reported only when a
     partner discriminant is supplied; it is never inferred.
     """
+    if partner_disc == 0:
+        raise InvalidInputError("partner discriminant must be nonzero")
     full = full_mukai_lattice(ns)
     coords = _full_coords(v, ns)
     if not is_primitive_vector(coords):

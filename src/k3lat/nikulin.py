@@ -4,15 +4,11 @@ plus the congruence-driven extension from ambient degree 2d to degree 2md.
 
 A tuple is valid when the quadratic form induced on the orthogonal complement
 of the graph of gamma, modulo the graph, is cyclic of order 2t with a
-generator of q-value 1/(2t).  That value equals minus the discriminant form
-of the rank-1 complement <-2t>, so matching "as stated" is what honest
-computations produce; a tolerant mode accepting -1/(2t) as well is available
-through the sign-convention flag.
+generator of q-value +-1/(2t) up to unit squares.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,16 +43,6 @@ from .intlat import (
 from .modarith import crt, is_prime, legendre, sqrt_mod_prime
 
 
-class SignConvention(enum.Enum):
-    """How a quotient generator's q-value is matched against 1/(2t)."""
-
-    AS_STATED = "as_stated"
-    GLOBAL_SIGN = "global_sign"
-
-
-DEFAULT_SIGN = SignConvention.GLOBAL_SIGN
-
-
 def _polarization_degree(lattice: IntegralLattice) -> int:
     """n such that the lattice is <2n> + U in the basis (e, f, g)."""
     if lattice.rank == 3 and lattice.gram[0][0] > 0 and lattice.gram[0][0] % 2 == 0:
@@ -66,11 +52,9 @@ def _polarization_degree(lattice: IntegralLattice) -> int:
     raise LatticeError("ambient lattice must be <2n> + U in the basis (e, f, g)")
 
 
-def _matches_reference(q_val: Fraction, two_t: int, sign: SignConvention) -> bool:
-    """True when some unit multiple lambda^2 * q_val hits 1/(2t) (or +-1/(2t))."""
-    targets = {Fraction(1, two_t) % 2}
-    if sign is SignConvention.GLOBAL_SIGN:
-        targets.add((-Fraction(1, two_t)) % 2)
+def _matches_reference(q_val: Fraction, two_t: int) -> bool:
+    """True when some unit multiple lambda^2 * q_val hits +-1/(2t)."""
+    targets = {Fraction(1, two_t) % 2, -Fraction(1, two_t) % 2}
     for lam in range(1, two_t + 1):
         if gcd(lam, two_t) != 1:
             continue
@@ -111,14 +95,14 @@ class GluingData:
     def quotient_result(self) -> GlueQuotient:
         return glue_perp_quotient(self.source_form, self.w_group.ambient, self.gamma)
 
-    def is_valid(self, sign: SignConvention = DEFAULT_SIGN) -> bool:
+    def is_valid(self) -> bool:
         try:
-            self.validate(sign)
+            self.validate()
         except (LatticeError, InternalConsistencyError):
             return False
         return True
 
-    def validate(self, sign: SignConvention = DEFAULT_SIGN) -> None:
+    def validate(self) -> None:
         if not (self.gamma.is_bijective and self.gamma.preserves_q):
             raise LatticeError("gluing map must be a form-respecting isomorphism")
         q = self.quotient_result.quotient
@@ -126,7 +110,7 @@ class GluingData:
             raise LatticeError(
                 f"glue quotient has generator orders {q.orders}, expected ({2 * self.t},)"
             )
-        if not _matches_reference(q.q[0], 2 * self.t, sign):
+        if not _matches_reference(q.q[0], 2 * self.t):
             raise LatticeError(
                 f"glue quotient generator has q = {q.q[0]}, which never matches 1/{2 * self.t}"
             )
@@ -301,10 +285,7 @@ def _find_q_generator(glue: GluingData) -> tuple[tuple[int, ...], int, tuple[int
 
 
 def extend_glue(
-    glue: GluingData,
-    d: int,
-    m: int,
-    sign: SignConvention = DEFAULT_SIGN,
+    glue: GluingData, d: int, m: int
 ) -> tuple[GluingData, ExtensionCertificate]:
     """Extend a glue for <2d> + U to one for <2md> + U along an admissible prime m.
 
@@ -313,7 +294,7 @@ def extend_glue(
     the quotient generator to q-value 1/(2tm).  The returned glue is
     re-validated from scratch.
     """
-    glue.validate(sign)
+    glue.validate()
     if glue.ambient_n != d:
         raise LatticeError("glue ambient degree does not match d")
     t = glue.t
@@ -342,7 +323,7 @@ def extend_glue(
     if not (gamma_new.is_bijective and gamma_new.preserves_q):
         raise InternalConsistencyError("extended gluing map is not a form isometry")
     extended = GluingData(glue.v_group, w_new, gamma_new, t * m)
-    extended.validate(sign)
+    extended.validate()
 
     # The certificate generator must land on q = 1/(2tm) after scaling by lambda.
     res = extended.quotient_result
@@ -448,11 +429,7 @@ def _y_candidates(x, q12, q22, n, bound):
 
 
 def embedding_witnesses(
-    source: IntegralLattice,
-    n: int,
-    glue: GluingData,
-    search_bound: int,
-    sign: SignConvention = DEFAULT_SIGN,
+    source: IntegralLattice, n: int, glue: GluingData, search_bound: int
 ):
     """Explicit primitive embeddings realizing a valid glue inside <2n> + U, lazily.
 
@@ -460,7 +437,7 @@ def embedding_witnesses(
     (0, 1, q11/2) and scans the hyperbolic coordinate; later branches run the
     same scan over the other norm-q11 divisor shapes (x_e, x_f, x_g).
     """
-    glue.validate(sign)
+    glue.validate()
     if glue.ambient_n != n:
         raise LatticeError("glue ambient degree does not match n")
     if discriminant_form(source) != glue.source_form:
@@ -488,15 +465,11 @@ def embedding_witnesses(
 
 
 def realize_embedding(
-    source: IntegralLattice,
-    n: int,
-    glue: GluingData,
-    search_bound: int,
-    sign: SignConvention = DEFAULT_SIGN,
+    source: IntegralLattice, n: int, glue: GluingData, search_bound: int
 ) -> EmbeddingSearchResult:
     """The first of `embedding_witnesses`; on exhaustion the glue itself is the
     (existence-only) certificate."""
-    emb = next(embedding_witnesses(source, n, glue, search_bound, sign), None)
+    emb = next(embedding_witnesses(source, n, glue, search_bound), None)
     if emb is None:
         return EmbeddingSearchResult("certificate_only", None, glue)
     return EmbeddingSearchResult("witness", emb, glue)
@@ -528,9 +501,7 @@ def brute_force_embeddings(
     return out
 
 
-def enumerate_valid_glues(
-    source: IntegralLattice, n: int, sign: SignConvention = DEFAULT_SIGN
-) -> list[GluingData]:
+def enumerate_valid_glues(source: IntegralLattice, n: int) -> list[GluingData]:
     """All valid gluing tuples for embeddings of `source` into <2n> + U."""
     a_src = discriminant_form(source)
     a_amb = discriminant_form(rank_one(2 * n))
@@ -546,6 +517,6 @@ def enumerate_valid_glues(
                     continue
                 t = orders[0] // 2
                 candidate = GluingData(v, w, gamma, t)
-                if candidate.is_valid(sign):
+                if candidate.is_valid():
                     out.append(candidate)
     return out

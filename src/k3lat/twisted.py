@@ -205,7 +205,7 @@ class WitnessRecord:
     n: int
     r: int
     v_n: tuple[int, ...]
-    h_n: tuple[int, ...] | None
+    h_n: tuple[int, ...]
     b_n: tuple[int, ...] | None
     identities: dict
     n_v: int
@@ -218,7 +218,7 @@ class WitnessRecord:
             "n": self.n,
             "r": self.r,
             "v_n": list(self.v_n),
-            "h_n": None if self.h_n is None else list(self.h_n),
+            "h_n": list(self.h_n),
             "b_n": None if self.b_n is None else list(self.b_n),
             "identities": self.identities,
             "n_v": self.n_v,
@@ -254,7 +254,6 @@ def witness_sequence(
     ell: int,
     n_max: int,
     e: int | None = None,
-    include_h: bool = True,
     ns: NeronSeveriData | None = None,
     trans: TranscendentalModel | None = None,
     d_coeffs: tuple[int, ...] | None = None,
@@ -294,13 +293,13 @@ def witness_sequence(
         r = ell**n
         twist = TwistedMukaiLattice(ns, trans, r)
         v_n = twist.vector(1, 0, d_coeffs)
-        identities = {"v_sq_zero": twist.norm(v_n) == 0}
-        h_n = None
-        if include_h:
-            h_n = twist.vector(ell**n, -2 * d)
-            identities["h_dot_v_zero"] = twist.pairing(h_n, v_n) == 0
-            identities["h_sq"] = twist.norm(h_n)
-            identities["h_sq_expected"] = twist.norm(h_n) == 2 * d * ell ** (2 * n)
+        h_n = twist.vector(ell**n, -2 * d)
+        identities = {
+            "v_sq_zero": twist.norm(v_n) == 0,
+            "h_dot_v_zero": twist.pairing(h_n, v_n) == 0,
+            "h_sq": twist.norm(h_n),
+            "h_sq_expected": twist.norm(h_n) == 2 * d * ell ** (2 * n),
+        }
         b_n = None
         if e is not None:
             b_n = twist.vector(0, 0, b_coeffs)

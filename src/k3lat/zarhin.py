@@ -30,10 +30,8 @@ from .mukai import (
     mukai_square,
 )
 from .nikulin import (
-    DEFAULT_SIGN,
     ExtensionCertificate,
     GluingData,
-    SignConvention,
     embedding_to_glue,
     embedding_witnesses,
     extend_glue,
@@ -110,9 +108,6 @@ def zarhin_constants(d: int, lsq: int | None = None) -> ZarhinConstants:
     glue = embedding_to_glue(seed.embedding)
     consts = extension_constants(glue, d)
     return ZarhinConstants(3 * actual_lsq**2, consts.modulus, consts.a, consts.b)
-
-
-_ISOMETRIES = ("identity", "negate", "swap", "swap_negate")
 
 
 def positive_rank_isometry(v: MukaiVector) -> str:
@@ -193,7 +188,6 @@ def zarhin_construct(
     m: int,
     lsq: int | None = None,
     search_bound: int = 12,
-    sign: SignConvention = DEFAULT_SIGN,
 ) -> ZarhinCertificate:
     """Run the full pipeline for degree 2md and re-verify every clause.
 
@@ -205,11 +199,11 @@ def zarhin_construct(
     seed = build_seed(d, lsq)
     actual_lsq = seed.lattice.gram[1][1]
     glue = embedding_to_glue(seed.embedding)
-    extended, cert = extend_glue(glue, d, m, sign)
+    extended, cert = extend_glue(glue, d, m)
     n = extended.ambient_n
     ns = NeronSeveriData(((2 * n,),))
     r = 3 * actual_lsq**2
-    for emb in embedding_witnesses(seed.lattice, n, extended, search_bound, sign):
+    for emb in embedding_witnesses(seed.lattice, n, extended, search_bound):
         v_raw = ambient_vector_to_mukai(emb.column(0))
         iso = positive_rank_isometry(v_raw)
         v = apply_isometry(iso, v_raw)

@@ -9,6 +9,7 @@ from k3lat.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
+    SCAN_CEILING_ENV,
     run,
 )
 from k3lat.errors import InternalConsistencyError
@@ -101,7 +102,7 @@ def test_output_digit_limit(fmt):
     assert out.count(b"\n") == 1 and out.endswith(b"\n")
 
 
-def test_twisted_run_json_and_csv():
+def test_twisted_run_json_and_csv(tmp_path):
     code, doc = payload_of(["twisted-run", "--d", "1", "--ell", "5", "--n-max", "3"])
     assert code == EXIT_OK
     h_sq = [row["identities"]["h_sq"] for row in doc["outputs"]]
@@ -113,6 +114,11 @@ def test_twisted_run_json_and_csv():
     assert lines[0].startswith("# manifest: ")
     assert lines[1] == "n,r,v_sq,h_sq,n_v,partner_disc_abs,ell_valuation"
     assert lines[2].split(",") == ["1", "5", "0", "50", "1", "50", "2"]
+
+    # --format applies to replay too: the JSON manifest replays to the same CSV.
+    manifest_path = tmp_path / "m.json"
+    manifest_path.write_bytes(run(["twisted-run", "--d", "1", "--ell", "5", "--n-max", "3"])[1])
+    assert run(["--format", "csv", "replay", str(manifest_path)]) == (code, out)
 
     code, out = run(["twisted-run", "--d", "1", "--ell", "4", "--n-max", "2"])
     assert code == EXIT_INVALID
@@ -187,6 +193,74 @@ def test_replay_negative_leading_value(tmp_path):
     manifest_path = tmp_path / "m.json"
     manifest_path.write_bytes(out)
     assert run(["replay", str(manifest_path)]) == (code, out)
+
+
+def test_replay_ignores_scan_ceiling_env(tmp_path, monkeypatch):
+    # Replay uses the manifest's recorded inputs alone: neither the environment
+    # nor a global --scan-ceiling adds a ceiling the original run did not have.
+    monkeypatch.delenv(SCAN_CEILING_ENV, raising=False)
+    code, out = run(["prime-search", "--qr", "2", "--min", "100", "--count", "2"])
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs"]["scan_ceiling"] is None
+    manifest_path = tmp_path / "m.json"
+    manifest_path.write_bytes(out)
+    monkeypatch.setenv(SCAN_CEILING_ENV, "100000")
+    assert run(["replay", str(manifest_path)]) == (code, out)
+    assert run(["--scan-ceiling", "50", "replay", str(manifest_path)]) == (code, out)
+
+
+def _replay_argv(tmp_path, command, inputs):
+    return ["replay", write(tmp_path, "m.json", {"command": command, "inputs": inputs})]
+
+
+EMBED_INPUTS = {"d": 1, "m": 5, "lsq": 2, "search_bound": 12}
+RAGGED = [[2, 1], [1]]
+REP_ARGS = ["--target", "1", "--ell", "7"]
+
+MALFORMED_INPUTS = {
+    "inputs-list": lambda p: _replay_argv(p, "embed", [1, 5]),
+    "disc-form-no-lattice": lambda p: _replay_argv(p, "disc-form", {}),
+    "rep-ragged-inline": lambda p: ["rep", "--gram", json.dumps(RAGGED)] + REP_ARGS,
+    "rep-gram-not-list": lambda p: ["rep", "--gram", "5"] + REP_ARGS,
+    "mukai-ns-gram-vector": lambda p: ["mukai", "--ns-gram", "[2]", "--v", "1,0,-1"],
+    "disc-form-gram-string": lambda p: ["disc-form", write(p, "l.json", {"gram": "x"})],
+    "ns-file-h-index-string": lambda p: [
+        "disc-chain", "--ns-file", write(p, "ns.json", {"gram": [[2]], "h_index": "0"}),
+        "--v", "1,0,-1",
+    ],
+    "rep-ragged-file": lambda p: ["rep", "--gram-file", write(p, "g.json", {"gram": RAGGED})]
+    + REP_ARGS,
+    "rep-ragged-manifest": lambda p: _replay_argv(
+        p, "rep", {"gram": RAGGED, "target": 1, "ell": 7, "prec": 1}
+    ),
+    "disc-form-ragged-file": lambda p: ["disc-form", write(p, "l.json", {"gram": RAGGED})],
+    "rep-prec-0": lambda p: ["rep", "--gram", "[[2]]", "--target", "2", "--ell", "7",
+                             "--prec", "0"],
+    "disc-chain-partner-disc-0": lambda p: ["disc-chain", "--ns-gram", "[[2]]", "--v", "1,0,-1",
+                                            "--partner-disc", "0"],
+    "prime-search-count-0": lambda p: ["prime-search", "--count", "0"],
+    "prime-search-qr-0": lambda p: ["prime-search", "--qr", "0,3"],
+    "d-null": lambda p: _replay_argv(p, "embed", {**EMBED_INPUTS, "d": None}),
+    "d-true": lambda p: _replay_argv(p, "embed", {**EMBED_INPUTS, "d": True}),
+    "missing-key": lambda p: _replay_argv(
+        p, "embed", {k: v for k, v in EMBED_INPUTS.items() if k != "m"}
+    ),
+    "extra-key": lambda p: _replay_argv(p, "embed", {**EMBED_INPUTS, "extra": 1}),
+    "unknown-command": lambda p: _replay_argv(p, "nope", {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS) + ["scan-ceiling-env"])
+def test_malformed_input_exits_1(tmp_path, monkeypatch, case):
+    if case == "scan-ceiling-env":
+        monkeypatch.setenv(SCAN_CEILING_ENV, "abc")
+        argv = ["prime-search", "--qr", "2"]
+    else:
+        monkeypatch.delenv(SCAN_CEILING_ENV, raising=False)
+        argv = MALFORMED_INPUTS[case](tmp_path)
+    code, out = run(argv)
+    assert code == EXIT_INVALID
+    assert out.startswith(b"error: ") and out.count(b"\n") == 1 and out.endswith(b"\n")
 
 
 def test_replay_disc_form(tmp_path):

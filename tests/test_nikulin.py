@@ -1,9 +1,11 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from k3lat.errors import InadmissibleError, LatticeError
 from k3lat.intlat import IntegralLattice, polarization_lattice, sublattice
 from k3lat.nikulin import (
-    SignConvention,
     admissible_m,
     brute_force_embeddings,
     embedding_to_glue,
@@ -29,7 +31,14 @@ def test_embedding_to_glue_diag22():
     assert glue.v_group.order == 2
     assert glue.w_group.order == 2
     glue.validate()
-    glue.validate(SignConvention.AS_STATED)
+    # The quotient generator has q = lambda^2 / (2t) for a unit lambda: the
+    # positive normalization, not only +-1/(2t).
+    q = glue.quotient_result.quotient
+    two_t = 2 * glue.t
+    assert q.orders == (two_t,)
+    assert q.q[0] in {
+        Fraction(lam * lam, two_t) % 2 for lam in range(1, two_t + 1) if gcd(lam, two_t) == 1
+    }
 
 
 def test_embedding_to_glue_general_degree_complement():
