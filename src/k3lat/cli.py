@@ -325,11 +325,20 @@ def _int_list(text: str) -> list[int]:
         raise CliUsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _digit_limit_error(option: str) -> CliUsageError:
+    """For inline JSON holding an integer past the int-to-str digit limit."""
+    return CliUsageError(
+        f"{option}: an integer exceeds the digit limit {sys.get_int_max_str_digits()}"
+    )
+
+
 def _ns_gram(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliUsageError(f"--ns-gram is not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise _digit_limit_error("--ns-gram") from exc
 
 
 def _json_or_file(text: str):
@@ -338,6 +347,8 @@ def _json_or_file(text: str):
         return json.loads(text)
     except json.JSONDecodeError:
         return _JsonFile(text)
+    except ValueError as exc:
+        raise _digit_limit_error("--gram") from exc
 
 
 def _inputs_from_args(args) -> dict:

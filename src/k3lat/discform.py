@@ -5,15 +5,16 @@ orders, the Q/2Z values of the quadratic form on the generators, and the
 Q/Z matrix of the bilinear form on generator pairs.  Elements are coordinate
 tuples reduced modulo the generator orders.
 
-Enumeration-based routines (subgroups, orthogonal complements, isometry
-search) are exhaustive and guarded by SIZE_LIMIT; the groups this package
-meets in practice have at most a few thousand elements.
+A subgroup is held by its relation lattice, its preimage in Z^k: order,
+membership and orthogonal complements are integer linear algebra on that
+lattice and never list elements.  Only element listings (`elements`,
+`all_subgroups`, `subgroup_isometries`) enumerate, and SIZE_LIMIT guards them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -97,9 +98,6 @@ class DiscriminantForm:
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % o for a, b, o in zip(x, y, self.orders, strict=True))
-
-    def neg(self, x: Element) -> Element:
-        return tuple((-a) % o for a, o in zip(x, self.orders, strict=True))
 
     def scale(self, n: int, x: Element) -> Element:
         return tuple((n * a) % o for a, o in zip(x, self.orders, strict=True))
@@ -247,14 +245,24 @@ def q_value(form: DiscriminantForm, x) -> Fraction:
 
 @dataclass(frozen=True)
 class FiniteSubgroup:
-    """Subgroup of a discriminant group, stored by canonical HNF generators."""
+    """Subgroup of a discriminant group, stored by canonical HNF generators.
+
+    `_relations` is the HNF row basis of its relation lattice (a k x k
+    upper-triangular matrix); order, membership, structure and orthogonal
+    complement are read off it.
+    """
 
     ambient: DiscriminantForm
     gens: tuple[Element, ...]
+    _relations: mx.Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gens = tuple(self.ambient.reduce(g) for g in self.gens)
-        object.__setattr__(self, "gens", _canonical_gens(self.ambient, gens))
+        relations = _relation_basis(
+            self.ambient.orders, tuple(self.ambient.reduce(g) for g in self.gens)
+        )
+        object.__setattr__(self, "_relations", relations)
+        reduced = (self.ambient.reduce(row) for row in relations)
+        object.__setattr__(self, "gens", tuple(g for g in reduced if any(g)))
 
     @staticmethod
     def generated_by(ambient: DiscriminantForm, gens) -> "FiniteSubgroup":
@@ -291,14 +299,45 @@ class FiniteSubgroup:
 
     @cached_property
     def order(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def _element_set(self) -> frozenset:
-        return frozenset(self.elements)
+        """|ambient| / (product of the pivots): the pivot product is the index of
+        the relation lattice in Z^k."""
+        index = 1
+        for i, row in enumerate(self._relations):
+            index *= row[i]
+        return self.ambient.order // index
 
     def __contains__(self, x) -> bool:
-        return self.ambient.reduce(x) in self._element_set
+        """Reduce x against the upper-triangular relation basis; members reach zero."""
+        y = list(self.ambient.reduce(x))
+        for i, row in enumerate(self._relations):
+            q, r = divmod(y[i], row[i])
+            if r:
+                return False
+            if q:
+                y = [a - q * c for a, c in zip(y, row)]
+        return True
+
+    def perp(self) -> "FiniteSubgroup":
+        """Orthogonal complement {x : b(x, g) = 0 for every g in the subgroup}.
+
+        With N the exponent of the ambient group, N*b is an integer matrix and
+        x lies in the complement iff c_g . x = 0 mod N for every generator g,
+        where c_g = N*b*g.  The solutions are the first k coordinates of the
+        integer kernel of [C | N*I].
+        """
+        form = self.ambient
+        k, r = form.ngens, len(self.gens)
+        if r == 0:
+            return FiniteSubgroup.full(form)
+        n = lcm(*form.orders)
+        nb = [[int(n * v) for v in row] for row in form.b]
+        rows = [
+            [sum(nb[i][j] * g[j] for j in range(k)) for i in range(k)]
+            + [n if t == s else 0 for t in range(r)]
+            for s, g in enumerate(self.gens)
+        ]
+        kernel = mx.kernel_basis(mx.freeze(rows))
+        return FiniteSubgroup.generated_by(form, mx.transpose(kernel[:k]))
 
     @cached_property
     def _structure(self) -> tuple[tuple[int, ...], tuple[Element, ...]]:
@@ -308,9 +347,7 @@ class FiniteSubgroup:
             return ((), ())
         orders = self.ambient.orders
         # The subgroup is its relation lattice modulo the one of the trivial subgroup.
-        _, _, diag, lifts = _smith_quotient(
-            _relation_basis(orders, self.gens), _relation_basis(orders, ())
-        )
+        _, _, diag, lifts = _smith_quotient(self._relations, _relation_basis(orders, ()))
         kept = [i for i in range(k) if diag[i] > 1]
         return (
             tuple(diag[i] for i in kept),
@@ -388,17 +425,6 @@ def _exact_coordinates(basis: mx.Matrix, x) -> mx.Vector:
     if any(v.denominator != 1 for v in sol):
         raise InternalConsistencyError("relation lattice is not inside the larger one")
     return tuple(int(v) for v in sol)
-
-
-def _canonical_gens(ambient: DiscriminantForm, gens: tuple[Element, ...]) -> tuple[Element, ...]:
-    if ambient.ngens == 0:
-        return ()
-    out = []
-    for row in _relation_basis(ambient.orders, gens):
-        red = ambient.reduce(row)
-        if any(red):
-            out.append(red)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -488,7 +514,6 @@ def glue_perp_quotient(
     if not (gamma.is_bijective and gamma.preserves_q):
         raise LatticeError("gluing map must be a form-respecting isomorphism")
     product = a_src.product_with_negated(a_amb)
-    n_src = a_src.ngens
     graph_gens = []
     for g in gamma.domain.structure_gens:
         img = gamma(g)
@@ -497,12 +522,7 @@ def glue_perp_quotient(
     for x in graph.elements:
         if product.q_of(x) != 0:
             raise InternalConsistencyError("graph of a form-respecting map must be isotropic")
-    perp_elems = [
-        x
-        for x in product.elements()
-        if all(product.b_of(x, g) == 0 for g in graph.gens)
-    ]
-    perp = FiniteSubgroup.generated_by(product, perp_elems)
+    perp = graph.perp()
     for g in graph.gens:
         if g not in perp:
             raise InternalConsistencyError("graph is not contained in its own perp")
@@ -517,10 +537,7 @@ def _quotient_form(
         return GlueQuotient(
             product, graph, perp, TRIVIAL_FORM, (), (), (), (), ()
         )
-    basis, uc, diag, lifts = _smith_quotient(
-        _relation_basis(product.orders, perp.gens),
-        _relation_basis(product.orders, graph.gens),
-    )
+    basis, uc, diag, lifts = _smith_quotient(perp._relations, graph._relations)
     kept = tuple(i for i in range(k) if diag[i] > 1)
     reps = [product.reduce(lifts[i]) for i in kept]
     orders = tuple(diag[i] for i in kept)

@@ -188,12 +188,7 @@ def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
         glue_gens.append(src_data.class_of(coeffs[:2]))
     source_glue = FiniteSubgroup.generated_by(src_data.form, glue_gens)
 
-    v_elems = [
-        x
-        for x in src_data.form.elements()
-        if all(src_data.form.b_of(x, g) == 0 for g in source_glue.gens)
-    ]
-    v_group = FiniteSubgroup.generated_by(src_data.form, v_elems)
+    v_group = source_glue.perp()
 
     images = []
     for g in v_group.structure_gens:
@@ -374,8 +369,10 @@ def _divisor_pairs(p: int, bound: int):
             yield (0, k)
             yield (0, -k)
         return
-    divisors = [d for d in range(1, abs(p) + 1) if p % d == 0]
-    for d in divisors:
+    # Divisors up to sqrt|p|, then their cofactors, give every divisor in ascending order.
+    small = [d for d in range(1, isqrt(abs(p)) + 1) if p % d == 0]
+    large = [abs(p) // d for d in reversed(small) if d * d != abs(p)]
+    for d in small + large:
         yield (d, p // d)
         yield (-d, -(p // d))
 

@@ -186,6 +186,16 @@ def test_determinism_and_replay(tmp_path):
         assert out3 == out1
 
 
+@pytest.mark.parametrize("command, d, m", [("embed", 1, 1277), ("zarhin", 2, 313)])
+def test_glue_past_enumeration_limit(tmp_path, command, d, m):
+    # 8*m*d^2 exceeds the enumeration limit; the glue perp needs no enumeration.
+    code, out = run([command, "--d", str(d), "--m", str(m)])
+    assert code == EXIT_OK, out.decode()
+    manifest_path = tmp_path / "m.json"
+    manifest_path.write_bytes(out)
+    assert run(["replay", str(manifest_path)]) == (code, out)
+
+
 def test_replay_negative_leading_value(tmp_path):
     # A list input starting with "-" must not be read back as an option.
     code, out = run(["prime-search", "--qr=-7,3", "--min", "1000", "--count", "2"])
@@ -216,12 +226,15 @@ def _replay_argv(tmp_path, command, inputs):
 EMBED_INPUTS = {"d": 1, "m": 5, "lsq": 2, "search_bound": 12}
 RAGGED = [[2, 1], [1]]
 REP_ARGS = ["--target", "1", "--ell", "7"]
+HUGE_GRAM = "[[" + "7" * 5000 + "]]"  # an integer past the default int-to-str digit limit
 
 MALFORMED_INPUTS = {
     "inputs-list": lambda p: _replay_argv(p, "embed", [1, 5]),
     "disc-form-no-lattice": lambda p: _replay_argv(p, "disc-form", {}),
     "rep-ragged-inline": lambda p: ["rep", "--gram", json.dumps(RAGGED)] + REP_ARGS,
     "rep-gram-not-list": lambda p: ["rep", "--gram", "5"] + REP_ARGS,
+    "rep-gram-digit-limit": lambda p: ["rep", "--gram", HUGE_GRAM] + REP_ARGS,
+    "mukai-ns-gram-digit-limit": lambda p: ["mukai", "--ns-gram", HUGE_GRAM, "--v", "1,0,-1"],
     "mukai-ns-gram-vector": lambda p: ["mukai", "--ns-gram", "[2]", "--v", "1,0,-1"],
     "disc-form-gram-string": lambda p: ["disc-form", write(p, "l.json", {"gram": "x"})],
     "ns-file-h-index-string": lambda p: [
@@ -261,6 +274,7 @@ def test_malformed_input_exits_1(tmp_path, monkeypatch, case):
     code, out = run(argv)
     assert code == EXIT_INVALID
     assert out.startswith(b"error: ") and out.count(b"\n") == 1 and out.endswith(b"\n")
+    assert len(out) < 200
 
 
 def test_replay_disc_form(tmp_path):

@@ -170,6 +170,29 @@ def test_subgroup_structure_oracle():
         checked += 1
 
 
+def test_relation_lattice_oracle():
+    # perp, order and membership come from the relation lattice; enumeration checks them.
+    rng = random.Random(13)
+    for trial in range(40):
+        form = discriminant_form(_random_even_lattice(rng))
+        if trial % 2:
+            # A product form: generator orders that need not divide one another.
+            other = discriminant_form(_random_even_lattice(rng, max_disc=24))
+            form = form.product_with_negated(other)
+            if form.order > 2000:
+                continue
+        elems = form.elements()
+        gens = [rng.choice(elems) for _ in range(rng.randint(0, 3))]
+        sub = FiniteSubgroup.generated_by(form, gens)
+        members = set(sub.elements)
+        assert sub.order == len(members)
+        assert all((x in sub) == (x in members) for x in elems)
+        expected = {x for x in elems if all(form.b_of(x, g) == 0 for g in gens)}
+        perp = sub.perp()
+        assert set(perp.elements) == expected
+        assert perp.order == len(expected)
+
+
 def test_subgroup_isometries_examples():
     trivial_l = discriminant_form(hyperbolic_plane())
     t = FiniteSubgroup.trivial(trivial_l)

@@ -5,7 +5,9 @@ import pytest
 
 from k3lat.errors import InadmissibleError, LatticeError
 from k3lat.intlat import IntegralLattice, polarization_lattice, sublattice
+from k3lat.discform import SIZE_LIMIT
 from k3lat.nikulin import (
+    _divisor_pairs,
     admissible_m,
     brute_force_embeddings,
     embedding_to_glue,
@@ -123,6 +125,27 @@ def test_extend_glue_chained():
     extended, cert = extend_glue(glue, 5, 101)
     assert extended.t == 505
     assert extended.ambient_n == 505
+
+
+def test_extend_glue_past_enumeration_limit():
+    # The product group A_src + A_amb of the extended glue has order 8m = 71528.
+    glue = embedding_to_glue(seed_embedding(1))
+    extended, cert = extend_glue(glue, 1, 8941)
+    assert extended.quotient_result.product.order == 8 * 8941 > SIZE_LIMIT
+    assert extended.t == cert.new_t == 8941
+    assert extended.quotient_result.quotient.orders == (2 * 8941,)
+    extended.validate()
+
+
+def test_divisor_pairs_matches_full_scan():
+    for p in range(-5000, 5001):
+        if p == 0:
+            continue
+        expected = []
+        for d in range(1, abs(p) + 1):
+            if p % d == 0:
+                expected += [(d, p // d), (-d, -(p // d))]
+        assert list(_divisor_pairs(p, 3)) == expected
 
 
 def test_realize_embedding_examples():
