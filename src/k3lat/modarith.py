@@ -1,16 +1,16 @@
 """Modular arithmetic services: Legendre symbols, square roots, CRT, QR-prime
 search, and representing values of quadratic forms modulo prime powers.
 
-Everything is exact integer arithmetic.  Primality testing is deterministic
-Miller-Rabin below 3.3 * 10^24 and uses the same witness set (probabilistically)
-above that range.
+Everything is exact integer arithmetic.  Primality testing is Miller-Rabin with
+the primes up to 41 as witnesses, deterministic below psi_13 ~ 3.3 * 10^24; above
+it a strong Lucas test is added (BPSW, with no known pseudoprime).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from . import matrices as mx
 from .errors import (
@@ -20,20 +20,19 @@ from .errors import (
     UnrepresentableError,
 )
 
-# Deterministic Miller-Rabin witnesses for n < 3_317_044_064_679_887_385_961_981.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_13 is the least strong pseudoprime to all 13 witnesses (Sorenson-Webster).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test (deterministic below ~3.3e24)."""
+    """Primality: deterministic Miller-Rabin below psi_13, BPSW from there on."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
+    d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
@@ -47,7 +46,56 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_DETERMINISTIC_BOUND or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd positive n, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test for odd n > 41 with Selfridge's P = 1, Q = (1 - D)/4.
+
+    D is the first of 5, -7, 9, -11, ... with (D|n) = -1.  With n + 1 = k 2^s,
+    k odd, n passes when U_k = 0 or V_(k 2^r) = 0 mod n for some r < s.
+    """
+    if isqrt(n) ** 2 == n:  # no D has (D|n) = -1
+        return False
+    d = 5
+    while (symbol := _jacobi(d, n)) != -1:
+        if symbol == 0:  # |d| < n shares a factor with n
+            return False
+        d = 2 - d if d < 0 else -d - 2
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    k = (n + 1) >> s
+    half = (n + 1) // 2
+    # Left-to-right ladder from (U_1, V_1, Q^1): double the index, then add 1
+    # where k has a set bit, using U_(j+1) = (U_j + V_j)/2, V_(j+1) = (D U_j + V_j)/2.
+    u, v, qj = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qj = u * v % n, (v * v - 2 * qj) % n, qj * qj % n
+        if bit == "1":
+            u, v, qj = (u + v) * half % n, (d * u + v) * half % n, qj * q % n
+    if u == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qj = (v * v - 2 * qj) % n, qj * qj % n
+    return False
 
 
 def legendre(a: int, p: int) -> int:
@@ -170,11 +218,12 @@ def _form_value(gram: mx.Matrix, x: tuple[int, ...], modulus: int) -> int:
 def represent_value(
     gram, c: int, ell: int, k: int
 ) -> tuple[int, ...]:
-    """Vector x with x^T G x = c mod ell^k, by an F_ell solution plus Hensel lifting.
+    """Vector x with x^T G x = c mod ell^k, by an F_ell solution plus Newton lifting.
 
-    Requires det(G) nonzero mod ell.  A starting solution is found by scanning
-    F_ell^rank; it lifts whenever its gradient 2*G*x is nonzero mod ell, and
-    all candidate starting solutions are tried before giving up.
+    Requires det(G) nonzero mod ell.  F_ell^rank is scanned lazily in lex order
+    to the first solution whose gradient 2*G*x is nonzero mod ell; its first such
+    coordinate is lifted by Newton steps that double the precision up to ell^k.
+    The lift of that coordinate is unique, so any lifting method gives this result.
     """
     g = mx.freeze(gram)
     n = len(g)
@@ -189,31 +238,26 @@ def represent_value(
             f"Gram determinant is divisible by {ell}; the mod-{ell} form is degenerate"
         )
     target = c % ell
-    starts = [
-        x
-        for x in itertools.product(range(ell), repeat=n)
-        if _form_value(g, x, ell) == target
-    ]
-    if not starts:
-        raise UnrepresentableError(f"form does not represent {c} modulo {ell}")
-    for x0 in starts:
-        grad = [2 * v % ell for v in mx.mat_vec(g, x0)]
-        pivot = next((i for i, v in enumerate(grad) if v), None)
-        if pivot is None:
+    represented = False
+    for x0 in itertools.product(range(ell), repeat=n):
+        if _form_value(g, x0, ell) != target:
             continue
-        inv = pow(grad[pivot], -1, ell)
-        x = list(x0)
-        modulus = ell
-        for _ in range(k - 1):
-            residual = (c - _form_value(g, tuple(x), modulus * ell)) % (modulus * ell)
-            step = residual // modulus
-            t = (step * inv) % ell
-            x[pivot] += t * modulus
-            modulus *= ell
-        result = tuple(v % ell**k for v in x)
-        if _form_value(g, result, ell**k) != c % ell**k:
-            raise UnrepresentableError("Hensel lifting failed to reach the target precision")
-        return result
-    raise UnrepresentableError(
-        f"every mod-{ell} solution is a singular point of the form; cannot lift"
-    )
+        represented = True
+        pivot = next((i for i, v in enumerate(mx.mat_vec(g, x0)) if v % ell), None)
+        if pivot is not None:
+            break
+    else:
+        if not represented:
+            raise UnrepresentableError(f"form does not represent {c} modulo {ell}")
+        raise UnrepresentableError(
+            f"every mod-{ell} solution is a singular point of the form; cannot lift"
+        )
+    x, modulus, top = list(x0), ell, ell**k
+    while modulus < top:
+        modulus = min(modulus * modulus, top)
+        slope = 2 * sum(a * b for a, b in zip(g[pivot], x))
+        residual = _form_value(g, tuple(x), modulus) - c
+        x[pivot] = (x[pivot] - residual * pow(slope, -1, modulus)) % modulus
+    if _form_value(g, tuple(x), top) != c % top:
+        raise UnrepresentableError("Hensel lifting failed to reach the target precision")
+    return tuple(x)

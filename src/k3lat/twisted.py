@@ -155,13 +155,17 @@ class PartnerDiscReport:
 
 
 def _valuation(n: int, ell: int) -> int:
+    """ell-adic valuation: divide out ell^(2^i) for i from the largest down."""
     if n == 0:
         raise ValueError("valuation of zero")
-    n = abs(n)
+    n, powers = abs(n), [ell]
+    while n % powers[-1] == 0:
+        powers.append(powers[-1] ** 2)
     v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
+    for i in reversed(range(len(powers))):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
 
 

@@ -12,7 +12,8 @@ from k3lat.cli import (
     SCAN_CEILING_ENV,
     run,
 )
-from k3lat.errors import InternalConsistencyError
+from k3lat.errors import InternalConsistencyError, NotPrimeError
+from k3lat.twisted import witness_sequence
 
 
 def write(tmp_path, name, doc):
@@ -123,6 +124,16 @@ def test_twisted_run_json_and_csv(tmp_path):
     code, out = run(["twisted-run", "--d", "1", "--ell", "4", "--n-max", "2"])
     assert code == EXIT_INVALID
     assert b"prime" in out
+
+
+def test_twisted_run_rejects_strong_pseudoprime_ell():
+    # psi_12, the least strong pseudoprime to every prime base up to 37.
+    psi_12 = "318665857834031151167461"
+    code, out = run(["twisted-run", "--d", "1", "--ell", psi_12, "--n-max", "1"])
+    assert code == EXIT_INVALID
+    assert out == b"error: " + psi_12.encode() + b" is not prime\n"
+    with pytest.raises(NotPrimeError):
+        witness_sequence(1, int(psi_12), 1)
 
 
 def test_prime_search_cli():

@@ -1,8 +1,17 @@
+import itertools
 import random
 
 import pytest
 
-from k3lat.errors import NotPrimeError, ScanCeilingError, UnrepresentableError
+import k3lat.modarith
+from k3lat import matrices as mx
+from k3lat.errors import (
+    InvalidInputError,
+    K3latError,
+    NotPrimeError,
+    ScanCeilingError,
+    UnrepresentableError,
+)
 from k3lat.modarith import (
     QRConstraint,
     crt,
@@ -18,6 +27,29 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 101, 7919}
     for n in range(-5, 100):
         assert is_prime(n) == (n in primes or (n > 40 and is_prime_naive(n)))
+
+
+# psi_12 = 399165290221 * 798330580441 and psi_13 are the least strong
+# pseudoprimes to the first 12 and 13 prime bases.
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert 399_165_290_221 * 798_330_580_441 == PSI_12
+    assert not is_prime(PSI_12)
+    assert not is_prime(PSI_13)
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1) and is_prime(2**521 - 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+    assert not is_prime((2**89 - 1) ** 2)
+
+
+def test_is_prime_matches_sympy_large():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(14)
+    for _ in range(2000):
+        n = rng.randrange(10**24, 10**40) | 1
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def is_prime_naive(n):
@@ -110,6 +142,12 @@ def test_represent_value_examples():
 def test_represent_value_errors():
     with pytest.raises(UnrepresentableError):
         represent_value(((2,),), 3, 7, 1)  # 3/2 = 5 is not a QR mod 7
+    with pytest.raises(UnrepresentableError, match="does not represent 3 modulo 7"):
+        represent_value(((2,),), 3, 7, 4)
+    # x = 0 is the only solution of 2x^2 = 0 or of an anisotropic binary form = 0.
+    for gram, c in (((2,),), 14), (((2, 0), (0, 2)), 0):
+        with pytest.raises(UnrepresentableError, match="every mod-7 solution is a singular"):
+            represent_value(gram, c, 7, 3)
     with pytest.raises(UnrepresentableError):
         represent_value(((7,),), 1, 7, 1)  # degenerate mod 7
     with pytest.raises(NotPrimeError):
@@ -145,3 +183,92 @@ def test_represent_value_hensel_coherence():
         x5 = represent_value(g, c, ell, 5)
         val5 = sum(x5[i] * g[i][j] * x5[j] for i in range(n) for j in range(n))
         assert val5 % ell**4 == c % ell**4
+
+
+def _represent_value_oracle(gram, c, ell, k):
+    """The full-scan algorithm: every F_ell solution, then single-digit Hensel steps."""
+    g = mx.freeze(gram)
+    n = len(g)
+    if n == 0:
+        raise UnrepresentableError("rank-0 form represents nothing")
+    if k < 1:
+        raise InvalidInputError("precision must be at least 1")
+    if ell < 3 or not is_prime(ell):
+        raise NotPrimeError(f"{ell} is not an odd prime")
+    if mx.det(g) % ell == 0:
+        raise UnrepresentableError(
+            f"Gram determinant is divisible by {ell}; the mod-{ell} form is degenerate"
+        )
+
+    def value(x, modulus):
+        return sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n)) % modulus
+
+    target = c % ell
+    starts = [x for x in itertools.product(range(ell), repeat=n) if value(x, ell) == target]
+    if not starts:
+        raise UnrepresentableError(f"form does not represent {c} modulo {ell}")
+    for x0 in starts:
+        grad = [2 * v % ell for v in mx.mat_vec(g, x0)]
+        pivot = next((i for i, v in enumerate(grad) if v), None)
+        if pivot is None:
+            continue
+        inv = pow(grad[pivot], -1, ell)
+        x = list(x0)
+        modulus = ell
+        for _ in range(k - 1):
+            residual = (c - value(x, modulus * ell)) % (modulus * ell)
+            x[pivot] += (residual // modulus * inv % ell) * modulus
+            modulus *= ell
+        result = tuple(v % ell**k for v in x)
+        assert value(result, ell**k) == c % ell**k
+        return result
+    raise UnrepresentableError(
+        f"every mod-{ell} solution is a singular point of the form; cannot lift"
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except K3latError as exc:
+        return type(exc), str(exc)
+
+
+def test_represent_value_matches_full_scan_oracle():
+    rng = random.Random(15)
+    primes = [p for p in range(3, 38) if is_prime(p)]
+    kinds = set()
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        ell = rng.choice([p for p in primes if p**n <= 6000])
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                gram[i][j] = gram[j][i] = rng.randint(-9, 9)
+        c = rng.randint(-3 * ell, 3 * ell) if rng.random() < 0.7 else ell * rng.randint(-3, 3)
+        k = rng.randint(1, 30)
+        got = _outcome(represent_value, gram, c, ell, k)
+        assert got == _outcome(_represent_value_oracle, gram, c, ell, k), (gram, c, ell, k)
+        kinds.add(got[1].split()[0] if isinstance(got[0], type) else "ok")
+    assert kinds == {"ok", "Gram", "form", "every"}
+
+
+def test_represent_value_scan_stops_at_first_liftable_point(monkeypatch):
+    calls = []
+    form_value = k3lat.modarith._form_value
+
+    def counted(*args):
+        calls.append(1)
+        return form_value(*args)
+
+    monkeypatch.setattr(k3lat.modarith, "_form_value", counted)
+    gram = ((2, 1, 0), (1, 2, 1), (0, 1, 4))
+    x = represent_value(gram, 7, 101, 12)
+    assert len(calls) <= 2 * 101
+    assert form_value(gram, x, 101**12) == 7
+
+
+def test_represent_value_high_precision():
+    g = ((2, 0), (0, -2))
+    x = represent_value(g, 1, 101, 2200)
+    assert (2 * x[0] ** 2 - 2 * x[1] ** 2) % 101**2200 == 1

@@ -7,6 +7,7 @@ from k3lat.matrices import freeze
 from k3lat.mukai import NeronSeveriData
 from k3lat.twisted import (
     TranscendentalModel,
+    _valuation,
     divisibility_nv,
     partner_disc,
     twisted_disc_identity,
@@ -153,3 +154,22 @@ def test_witness_sequence_custom_model():
     assert [r.ell_valuation for r in records] == [2, 4, 6]
     for rec in records:
         assert rec.identities["partner_identity"]
+
+
+def test_valuation_matches_repeated_division():
+    def by_division(n, ell):
+        n, v = abs(n), 0
+        while n % ell == 0:
+            n //= ell
+            v += 1
+        return v
+
+    rng = random.Random(16)
+    for ell in (2, 3, 101, 2**61 - 1):
+        for e in [0, 1, 2, 3, 4, 7, 8, 15, 16, 17, 3000] + rng.sample(range(3001), 15):
+            unit = rng.randrange(1, 10**6)
+            unit += unit % ell == 0
+            for n in (unit * ell**e, -unit * ell**e):
+                assert _valuation(n, ell) == by_division(n, ell) == e
+    with pytest.raises(ValueError):
+        _valuation(0, 5)
