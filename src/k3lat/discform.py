@@ -6,8 +6,10 @@ Q/Z matrix of the bilinear form on generator pairs.  Elements are coordinate
 tuples reduced modulo the generator orders.
 
 A subgroup is held by its relation lattice, its preimage in Z^k: order,
-membership and orthogonal complements are integer linear algebra on that
-lattice and never list elements.  Only element listings (`elements`,
+membership, coordinates, orthogonal complements and glue quotients are integer
+linear algebra on that lattice and never list elements.  Coordinates in a
+quotient of two relation lattices are read off one Smith form.  Maps between
+subgroups are checked on generators.  Only element listings (`elements`,
 `all_subgroups`, `subgroup_isometries`) enumerate, and SIZE_LIMIT guards them.
 """
 
@@ -31,14 +33,6 @@ from .intlat import IntegralLattice
 SIZE_LIMIT = 10_000
 
 Element = tuple[int, ...]
-
-
-def _mod2(x: Fraction) -> Fraction:
-    return x % 2
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x % 1
 
 
 @dataclass(frozen=True)
@@ -67,14 +61,14 @@ class DiscriminantForm:
         for i, o in enumerate(orders):
             if o < 2:
                 raise LatticeError("generator orders must be at least 2")
-            if q[i] != _mod2(q[i]):
+            if q[i] != q[i] % 2:
                 raise LatticeError("q values must be canonical representatives in [0, 2)")
             if (o * q[i]).denominator != 1 or (o * o * q[i]) % 2 != 0:
                 raise LatticeError("q value is not well defined on a generator of this order")
-            if _mod1(b[i][i]) != _mod1(q[i]):
+            if b[i][i] % 1 != q[i] % 1:
                 raise LatticeError("b(g, g) must agree with q(g) modulo 1")
             for j in range(k):
-                if b[i][j] != _mod1(b[i][j]) or b[i][j] != b[j][i]:
+                if b[i][j] != b[i][j] % 1 or b[i][j] != b[j][i]:
                     raise LatticeError("b must be a symmetric matrix of representatives in [0, 1)")
                 if (o * b[i][j]).denominator != 1:
                     raise LatticeError("b value is not well defined on generators of these orders")
@@ -115,7 +109,7 @@ class DiscriminantForm:
                 for j in range(i + 1, self.ngens):
                     if x[j]:
                         total += 2 * xi * x[j] * self.b[i][j]
-        return _mod2(total)
+        return total % 2
 
     def b_of(self, x, y) -> Fraction:
         """Value of the bilinear form, canonical representative in [0, 1)."""
@@ -125,7 +119,7 @@ class DiscriminantForm:
         for i, xi in enumerate(x):
             if xi:
                 total += xi * sum(self.b[i][j] * yj for j, yj in enumerate(y) if yj)
-        return _mod1(total)
+        return total % 1
 
     def elements(self) -> list[Element]:
         if self.order > SIZE_LIMIT:
@@ -137,13 +131,13 @@ class DiscriminantForm:
     def product_with_negated(self, other: "DiscriminantForm") -> "DiscriminantForm":
         """The form q_self + (-q_other) on the direct sum, coordinates concatenated."""
         orders = self.orders + other.orders
-        q = self.q + tuple(_mod2(-v) for v in other.q)
+        q = self.q + tuple(-v % 2 for v in other.q)
         n, m = self.ngens, other.ngens
         rows = []
         for i in range(n):
             rows.append(self.b[i] + (Fraction(0),) * m)
         for i in range(m):
-            rows.append((Fraction(0),) * n + tuple(_mod1(-v) for v in other.b[i]))
+            rows.append((Fraction(0),) * n + tuple(-v % 1 for v in other.b[i]))
         return DiscriminantForm(orders, q, tuple(rows))
 
     def to_json_dict(self) -> dict:
@@ -225,8 +219,8 @@ def discriminant_data(lattice: IntegralLattice) -> LatticeDiscriminantData:
         )
 
     k = len(kept)
-    q = tuple(_mod2(pair(i, i)) for i in range(k))
-    b = tuple(tuple(_mod1(pair(i, j)) for j in range(k)) for i in range(k))
+    q = tuple(pair(i, i) % 2 for i in range(k))
+    b = tuple(tuple(pair(i, j) % 1 for j in range(k)) for i in range(k))
     form = DiscriminantForm(tuple(diag[i] for i in kept), q, b)
     if form.order != lattice.disc_abs:
         raise InternalConsistencyError("discriminant group order does not match |det|")
@@ -307,15 +301,7 @@ class FiniteSubgroup:
         return self.ambient.order // index
 
     def __contains__(self, x) -> bool:
-        """Reduce x against the upper-triangular relation basis; members reach zero."""
-        y = list(self.ambient.reduce(x))
-        for i, row in enumerate(self._relations):
-            q, r = divmod(y[i], row[i])
-            if r:
-                return False
-            if q:
-                y = [a - q * c for a, c in zip(y, row)]
-        return True
+        return _lattice_coordinates(self._relations, self.ambient.reduce(x)) is not None
 
     def perp(self) -> "FiniteSubgroup":
         """Orthogonal complement {x : b(x, g) = 0 for every g in the subgroup}.
@@ -340,44 +326,27 @@ class FiniteSubgroup:
         return FiniteSubgroup.generated_by(form, mx.transpose(kernel[:k]))
 
     @cached_property
-    def _structure(self) -> tuple[tuple[int, ...], tuple[Element, ...]]:
-        """Invariant factors and an independent generating set realizing them."""
-        k = self.ambient.ngens
-        if k == 0:
-            return ((), ())
-        orders = self.ambient.orders
+    def _structure(self) -> "_SmithQuotient":
         # The subgroup is its relation lattice modulo the one of the trivial subgroup.
-        _, _, diag, lifts = _smith_quotient(self._relations, _relation_basis(orders, ()))
-        kept = [i for i in range(k) if diag[i] > 1]
-        return (
-            tuple(diag[i] for i in kept),
-            tuple(self.ambient.reduce(lifts[i]) for i in kept),
+        return _smith_quotient(
+            self.ambient, self._relations, _relation_basis(self.ambient.orders, ())
         )
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
-        return self._structure[0]
+        return self._structure.orders
 
     @property
     def structure_gens(self) -> tuple[Element, ...]:
-        return self._structure[1]
-
-    @cached_property
-    def _coords(self) -> dict[Element, tuple[int, ...]]:
-        invariants, sgens = self._structure
-        table: dict[Element, tuple[int, ...]] = {}
-        for combo in itertools.product(*(range(s) for s in invariants)):
-            x = self.ambient.zero()
-            for c, g in zip(combo, sgens):
-                if c:
-                    x = self.ambient.add(x, self.ambient.scale(c, g))
-            table[x] = combo
-        if len(table) != self.order:
-            raise InternalConsistencyError("independent generators do not span the subgroup")
-        return table
+        """Independent generators of orders `invariant_factors`."""
+        return self._structure.lifts
 
     def coordinates(self, x) -> tuple[int, ...]:
-        return self._coords[self.ambient.reduce(x)]
+        """The c with x = sum c_i * structure_gens[i], each c_i in [0, invariant_factors[i])."""
+        coords = self._structure.coordinates(self.ambient.reduce(x))
+        if coords is None:
+            raise LatticeError("element does not lie in the subgroup")
+        return coords
 
 
 def _relation_basis(orders: tuple[int, ...], gens) -> mx.Matrix:
@@ -393,38 +362,65 @@ def _relation_basis(orders: tuple[int, ...], gens) -> mx.Matrix:
     return mx.hermite_row_form(mx.freeze([list(g) for g in gens] + relations))
 
 
-def _smith_quotient(upper: mx.Matrix, lower: mx.Matrix):
-    """Cyclic decomposition of upper/lower, for k x k row bases of lattices lower <= upper.
+def _lattice_coordinates(upper: mx.Matrix, x) -> mx.Vector | None:
+    """Integer y with x = sum y_i * upper[i] by forward reduction against the
+    upper-triangular row basis; None when x is not in its row lattice."""
+    rest = list(x)
+    y = []
+    for i, row in enumerate(upper):
+        q, r = divmod(rest[i], row[i])
+        if r:
+            return None
+        if q:
+            rest = [a - q * c for a, c in zip(rest, row)]
+        y.append(q)
+    return tuple(y)
 
-    Returns (basis, uc, diag, lifts): basis = transpose(upper); uc and diag are
-    the left Smith transform and the Smith diagonal of the coordinates C of
-    lower in basis; lifts[i] = basis * (column i of uc^-1) lifts a generator
-    of the quotient of order diag[i] (trivial where diag[i] == 1).
+
+@dataclass(frozen=True)
+class _SmithQuotient:
+    """Cyclic decomposition of upper/lower (see `_smith_quotient`): `orders` are
+    the Smith diagonal entries above 1 and `lifts` generators of those orders."""
+
+    upper: mx.Matrix
+    uc: mx.Matrix
+    diag: tuple[int, ...]
+    orders: tuple[int, ...]
+    lifts: tuple[Element, ...]
+
+    def coordinates(self, x) -> Element | None:
+        """Quotient coordinates of x, or None when x does not lie in upper."""
+        y = _lattice_coordinates(self.upper, x)
+        if y is None:
+            return None
+        w = mx.mat_vec(self.uc, y)
+        return tuple(c % d for c, d in zip(w, self.diag) if d > 1)
+
+
+def _smith_quotient(form: DiscriminantForm, upper: mx.Matrix, lower: mx.Matrix) -> _SmithQuotient:
+    """Quotient of relation lattices lower <= upper in form, given by k x k row bases.
+
+    With C the coordinates of lower in the rows of upper and uc*C*vc = sc,
+    y -> uc*y maps C*Z^k onto sc*Z^k, and generator i lifts to upper^T * (column
+    i of uc^-1) = lower^T * (column i of vc) / sc_ii.
     """
     k = len(lower)
     if len(upper) != k:
         raise InternalConsistencyError("relation lattice is not of full rank")
-    basis = mx.transpose(upper)
-    coords = mx.transpose(mx.freeze(_exact_coordinates(basis, row) for row in lower))
-    uc, sc, vc = mx.smith_normal_form(coords)
+    coords = [_lattice_coordinates(upper, row) for row in lower]
+    if None in coords:
+        raise InternalConsistencyError("relation lattice is not inside the larger one")
+    uc, sc, vc = mx.smith_normal_form(mx.transpose(mx.freeze(coords)))
     diag = tuple(sc[i][i] for i in range(k))
-    # uc*C*vc = sc and basis*C = lower^T give basis * uc^-1 = lower^T * vc * sc^-1.
     spanned = mx.mat_mul(mx.transpose(lower), vc)
     lifts = []
     for i in range(k):
         col = [row[i] for row in spanned]
         if any(x % diag[i] for x in col):
             raise InternalConsistencyError("quotient generator lift is not integral")
-        lifts.append(tuple(x // diag[i] for x in col))
-    return basis, uc, diag, tuple(lifts)
-
-
-def _exact_coordinates(basis: mx.Matrix, x) -> mx.Vector:
-    """Integer y with basis * y = x, for x in the lattice the columns of basis span."""
-    sol = mx.solve_rational(basis, x)
-    if any(v.denominator != 1 for v in sol):
-        raise InternalConsistencyError("relation lattice is not inside the larger one")
-    return tuple(int(v) for v in sol)
+        if diag[i] > 1:
+            lifts.append(form.reduce(x // diag[i] for x in col))
+    return _SmithQuotient(upper, uc, diag, tuple(d for d in diag if d > 1), tuple(lifts))
 
 
 @dataclass(frozen=True)
@@ -445,14 +441,25 @@ class SubgroupMap:
 
     @cached_property
     def is_bijective(self) -> bool:
-        image = {self(x) for x in self.domain.elements}
-        return len(image) == self.domain.order and self.domain.order == self.codomain.order
+        """Well defined (s_i * images[i] = 0), onto the codomain, and of equal order."""
+        amb = self.codomain.ambient
+        pairs = zip(self.domain.invariant_factors, self.images, strict=True)
+        return (
+            self.domain.order == self.codomain.order
+            and all(not any(amb.scale(s, img)) for s, img in pairs)
+            and FiniteSubgroup.generated_by(amb, self.images) == self.codomain
+        )
 
     @cached_property
     def preserves_q(self) -> bool:
-        aq = self.domain.ambient.q_of
-        bq = self.codomain.ambient.q_of
-        return all(bq(self(x)) == aq(x) for x in self.domain.elements)
+        """q agrees on each structure generator and b on each pair of them,
+        which makes q agree on every element."""
+        src, dst = self.domain.ambient, self.codomain.ambient
+        pairs = tuple(zip(self.domain.structure_gens, self.images, strict=True))
+        return all(dst.q_of(h) == src.q_of(g) for g, h in pairs) and all(
+            dst.b_of(h1, h2) == src.b_of(g1, g2)
+            for (g1, h1), (g2, h2) in itertools.combinations(pairs, 2)
+        )
 
 
 def subgroup_isometries(v: FiniteSubgroup, w: FiniteSubgroup) -> list[SubgroupMap]:
@@ -461,11 +468,10 @@ def subgroup_isometries(v: FiniteSubgroup, w: FiniteSubgroup) -> list[SubgroupMa
         return []
     if v.invariant_factors != w.invariant_factors:
         return []
-    invariants, _ = v._structure
-    if not invariants:
+    if not v.invariant_factors:
         return [SubgroupMap(v, w, ())]
     candidates = []
-    for s in invariants:
+    for s in v.invariant_factors:
         cands = [x for x in w.elements if not any(w.ambient.scale(s, x))]
         candidates.append(cands)
     out = []
@@ -490,19 +496,14 @@ class GlueQuotient:
     gamma_perp: FiniteSubgroup
     quotient: DiscriminantForm
     reps: tuple[Element, ...]
-    _basis: mx.Matrix
-    _uc: mx.Matrix
-    _sc_diag: tuple[int, ...]
-    _kept: tuple[int, ...]
+    _smith: _SmithQuotient
 
     def project(self, x) -> Element:
         """Quotient coordinates of an element of gamma_perp."""
-        if x not in self.gamma_perp:
+        coords = self._smith.coordinates(self.product.reduce(x))
+        if coords is None:
             raise LatticeError("element does not lie in the orthogonal complement")
-        # Every integer lift of a perp element lies in the perp relation lattice.
-        y = _exact_coordinates(self._basis, self.product.reduce(x))
-        w = mx.mat_vec(self._uc, y)
-        return tuple(w[i] % self._sc_diag[i] for i in self._kept)
+        return coords
 
 
 def glue_perp_quotient(
@@ -514,39 +515,22 @@ def glue_perp_quotient(
     if not (gamma.is_bijective and gamma.preserves_q):
         raise LatticeError("gluing map must be a form-respecting isomorphism")
     product = a_src.product_with_negated(a_amb)
-    graph_gens = []
-    for g in gamma.domain.structure_gens:
-        img = gamma(g)
-        graph_gens.append(tuple(g) + tuple(img))
-    graph = FiniteSubgroup.generated_by(product, graph_gens)
-    for x in graph.elements:
-        if product.q_of(x) != 0:
-            raise InternalConsistencyError("graph of a form-respecting map must be isotropic")
+    graph = FiniteSubgroup.generated_by(
+        product,
+        [g + tuple(img) for g, img in zip(gamma.domain.structure_gens, gamma.images, strict=True)],
+    )
+    # q vanishes on the generators and, by the perp check below, b on every
+    # pair of them: together they make q vanish on the whole graph.
+    if any(product.q_of(g) for g in graph.gens):
+        raise InternalConsistencyError("graph of a form-respecting map must be isotropic")
     perp = graph.perp()
-    for g in graph.gens:
-        if g not in perp:
-            raise InternalConsistencyError("graph is not contained in its own perp")
-    return _quotient_form(product, perp, graph)
-
-
-def _quotient_form(
-    product: DiscriminantForm, perp: FiniteSubgroup, graph: FiniteSubgroup
-) -> GlueQuotient:
-    k = product.ngens
-    if k == 0:
-        return GlueQuotient(
-            product, graph, perp, TRIVIAL_FORM, (), (), (), (), ()
-        )
-    basis, uc, diag, lifts = _smith_quotient(perp._relations, graph._relations)
-    kept = tuple(i for i in range(k) if diag[i] > 1)
-    reps = [product.reduce(lifts[i]) for i in kept]
-    orders = tuple(diag[i] for i in kept)
+    if any(g not in perp for g in graph.gens):
+        raise InternalConsistencyError("graph is not contained in its own perp")
+    smith = _smith_quotient(product, perp._relations, graph._relations)
+    reps = smith.lifts
     q = tuple(product.q_of(r) for r in reps)
     b = tuple(tuple(product.b_of(r1, r2) for r2 in reps) for r1 in reps)
-    quotient = DiscriminantForm(orders, q, b)
-    return GlueQuotient(
-        product, graph, perp, quotient, tuple(reps), basis, uc, diag, kept
-    )
+    return GlueQuotient(product, graph, perp, DiscriminantForm(smith.orders, q, b), reps, smith)
 
 
 def all_subgroups(form: DiscriminantForm) -> list[FiniteSubgroup]:

@@ -95,6 +95,27 @@ class GluingData:
     def quotient_result(self) -> GlueQuotient:
         return glue_perp_quotient(self.source_form, self.w_group.ambient, self.gamma)
 
+    @cached_property
+    def _q_generator(self) -> tuple[tuple[int, ...], int]:
+        """(x0, y0 in [1, 2n]) of the lexicographically first perp element that
+        generates the quotient with q_src(x0) - y0^2/(2n) = 1/(2t)."""
+        res = self.quotient_result
+        two_t = 2 * self.t
+        two_n = self.w_group.ambient.orders[0]
+        n_src = self.source_form.ngens
+        target = Fraction(1, two_t) % 2
+        for elem in res.gamma_perp.elements:
+            cls = res.project(elem)
+            if len(cls) != 1 or gcd(cls[0], two_t) != 1:
+                continue
+            if res.product.q_of(elem) != target:
+                continue
+            y_class = elem[n_src]
+            return elem[:n_src], (y_class if y_class >= 1 else two_n)
+        raise InternalConsistencyError(
+            "no quotient generator satisfies the q-normalization; glue data is inconsistent"
+        )
+
     def is_valid(self) -> bool:
         try:
             self.validate()
@@ -250,33 +271,10 @@ def admissible_m(glue: GluingData, d: int, m: int) -> tuple[bool, list[str]]:
             reasons.append(f"{consts.a} is not a quadratic residue modulo {m}")
         if legendre(consts.b, m) != 1:
             reasons.append(f"{consts.b} is not a quadratic residue modulo {m}")
-    _, y0, _ = _find_q_generator(glue)
+    _, y0 = glue._q_generator
     if gcd(m, y0) != 1:
         reasons.append(f"{m} divides the quotient generator lift y0 = {y0}")
     return (not reasons), reasons
-
-
-def _find_q_generator(glue: GluingData) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """Lexicographically first perp element generating the quotient with
-    q_src(x0) - y0^2/(2d) = 1/(2t); returns (x0, y0 in [1, 2d], full element)."""
-    res = glue.quotient_result
-    two_t = 2 * glue.t
-    two_d = glue.w_group.ambient.orders[0]
-    n_src = glue.source_form.ngens
-    target = Fraction(1, two_t) % 2
-    for elem in res.gamma_perp.elements:
-        cls = res.project(elem)
-        if len(cls) != 1 or gcd(cls[0], two_t) != 1:
-            continue
-        if res.product.q_of(elem) != target:
-            continue
-        x0 = elem[:n_src]
-        y_class = elem[n_src]
-        y0 = y_class if y_class >= 1 else two_d
-        return x0, y0, elem
-    raise InternalConsistencyError(
-        "no quotient generator satisfies the q-normalization; glue data is inconsistent"
-    )
 
 
 def extend_glue(
@@ -293,7 +291,7 @@ def extend_glue(
     if glue.ambient_n != d:
         raise LatticeError("glue ambient degree does not match d")
     t = glue.t
-    x0, y0, perp_elem = _find_q_generator(glue)
+    x0, y0 = glue._q_generator
     if m == 1:
         cert = ExtensionCertificate(x0, y0, 1, 1, t)
         return glue, cert

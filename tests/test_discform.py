@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from k3lat.discform import (
+    DiscriminantForm,
     FiniteSubgroup,
     SubgroupMap,
     all_subgroups,
@@ -215,6 +216,64 @@ def test_subgroup_isometries_closed_under_automorphisms():
         for h in isos:
             comp = SubgroupMap(v, v, tuple(h(g(x)) for x in v.structure_gens))
             assert comp.images in keyed
+
+
+def test_subgroup_map_generator_checks():
+    # (1,) has order 8 in A_<8> and lies outside W = <(4,)>, though |V| = |W| = 2.
+    v = FiniteSubgroup.full(discriminant_form(rank_one(2)))
+    w = FiniteSubgroup.generated_by(discriminant_form(rank_one(8)), [(4,)])
+    assert not SubgroupMap(v, w, ((1,),)).is_bijective
+    assert SubgroupMap(v, w, ((4,),)).is_bijective
+
+    # Z/2 + Z/4 -> Z/8 sending the generators to 1 and 2: onto, equal orders,
+    # but 2 * 1 != 0 in Z/8, so no homomorphism has these images.
+    v = FiniteSubgroup.full(discriminant_form(IntegralLattice(((2, 0), (0, 4)))))
+    w = FiniteSubgroup.full(discriminant_form(rank_one(8)))
+    assert v.invariant_factors == (2, 4)
+    assert not SubgroupMap(v, w, ((1,), (2,))).is_bijective
+
+    # q agrees on both generators of (Z/2)^2, b does not on the pair: q(e1 + e2) is 1 vs 0.
+    half = Fraction(1, 2)
+    tilted = DiscriminantForm((2, 2), (half, half), ((half, half), (half, half)))
+    v = FiniteSubgroup.full(discriminant_form(IntegralLattice(((2, 0), (0, 2)))))
+    gamma = SubgroupMap(v, FiniteSubgroup.full(tilted), ((1, 0), (0, 1)))
+    assert gamma.is_bijective
+    assert not gamma.preserves_q
+
+
+def test_subgroup_map_oracle():
+    # Generator checks against the map on every coefficient tuple c in prod range(2 s_i):
+    # two tuples naming one source element must agree, which tests well-definedness.
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(150):
+        a = discriminant_form(_random_even_lattice(rng, max_disc=48))
+        b = a if rng.random() < 0.5 else discriminant_form(_random_even_lattice(rng, max_disc=48))
+        a_elems, b_elems = a.elements(), b.elements()
+        v = FiniteSubgroup.generated_by(a, [rng.choice(a_elems) for _ in range(rng.randint(1, 2))])
+        same = [s for s in all_subgroups(b) if s.order == v.order]
+        w = rng.choice(same) if same else FiniteSubgroup.generated_by(b, [rng.choice(b_elems)])
+        images = tuple(
+            rng.choice(w.elements if rng.random() < 0.7 else b_elems) for _ in v.structure_gens
+        )
+        gamma = SubgroupMap(v, w, images)
+        graph = {}
+        well_defined = True
+        for c in itertools.product(*(range(2 * s) for s in v.invariant_factors)):
+            x, y = a.zero(), b.zero()
+            for ci, g, img in zip(c, v.structure_gens, images):
+                x, y = a.add(x, a.scale(ci, g)), b.add(y, b.scale(ci, img))
+            well_defined &= graph.setdefault(x, y) == y
+        image = set(graph.values())
+        expected = (
+            well_defined
+            and image == set(w.elements)
+            and len(image) == v.order
+            and all(b.q_of(y) == a.q_of(x) for x, y in graph.items())
+        )
+        assert (gamma.is_bijective and gamma.preserves_q) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_glue_trivial():
