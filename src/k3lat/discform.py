@@ -155,42 +155,34 @@ TRIVIAL_FORM = DiscriminantForm((), (), ())
 class LatticeDiscriminantData:
     """Discriminant form of a lattice plus the change-of-coordinates data.
 
-    `dual_gens[i]` is a representative of the i-th generator as a rational
-    vector in the lattice basis.
+    A dual vector x is handled through its integer pairing vector z = G*x with
+    the lattice basis.  `level` is the exponent of the discriminant group, so
+    level*x is an integer vector for every dual x; `dual_gens[i]` is level
+    times a dual vector of the i-th generator.
     """
 
     lattice: IntegralLattice
     form: DiscriminantForm
-    dual_gens: tuple[tuple[Fraction, ...], ...]
+    level: int
+    dual_gens: tuple[mx.Vector, ...]
     _u: mx.Matrix
     _snf_diag: tuple[int, ...]
     _kept: tuple[int, ...]
 
-    def class_of(self, dual_vector) -> Element:
-        """Class in the discriminant group of a rational vector lying in the dual."""
-        xs = tuple(Fraction(v) for v in dual_vector)
-        n = self.lattice.rank
-        if len(xs) != n:
-            raise LatticeError("dual vector has wrong length")
-        z = []
-        for row in self.lattice.gram:
-            val = sum(Fraction(r) * x for r, x in zip(row, xs))
-            if val.denominator != 1:
-                raise LatticeError("vector does not lie in the dual lattice")
-            z.append(int(val))
-        w = mx.mat_vec(self._u, tuple(z))
-        full = [w[i] % self._snf_diag[i] for i in range(n)]
-        return tuple(full[i] for i in self._kept)
+    def class_of(self, pairing) -> Element:
+        """Class of the dual vector whose pairings with the lattice basis are `pairing`."""
+        if len(pairing) != self.lattice.rank:
+            raise LatticeError("pairing vector has wrong length")
+        w = mx.mat_vec(self._u, tuple(pairing))
+        return tuple(w[i] % self._snf_diag[i] for i in self._kept)
 
-    def dual_representative(self, x: Element) -> tuple[Fraction, ...]:
-        """A dual-lattice vector representing the class x."""
-        x = self.form.reduce(x)
-        n = self.lattice.rank
-        out = [Fraction(0)] * n
-        for c, gen in zip(x, self.dual_gens, strict=True):
+    def dual_representative(self, x: Element) -> mx.Vector:
+        """level times a dual-lattice vector representing the class x."""
+        out = (0,) * self.lattice.rank
+        for c, gen in zip(self.form.reduce(x), self.dual_gens, strict=True):
             if c:
-                out = [acc + c * g for acc, g in zip(out, gen)]
-        return tuple(out)
+                out = tuple(acc + c * g for acc, g in zip(out, gen))
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -202,21 +194,21 @@ def discriminant_data(lattice: IntegralLattice) -> LatticeDiscriminantData:
         raise LatticeError("discriminant form requires a nondegenerate lattice")
     n = lattice.rank
     if n == 0:
-        return LatticeDiscriminantData(lattice, TRIVIAL_FORM, (), (), (), ())
+        return LatticeDiscriminantData(lattice, TRIVIAL_FORM, 1, (), (), (), ())
     u, s, v = mx.smith_normal_form(lattice.gram)
     # Smith diagonal entries of a nondegenerate Gram are positive, and
     # U*G*V = S gives G^-1 * U^-1 = V * S^-1: the dual vector of class e_i is
-    # column i of V divided by s_ii.
+    # column i of V divided by s_i, with pairing vector U^-1 * e_i.
     diag = tuple(s[i][i] for i in range(n))
     kept = tuple(i for i in range(n) if diag[i] > 1)
-    dual_gens = [tuple(Fraction(v[r][i], diag[i]) for r in range(n)) for i in kept]
+    level = diag[-1]
+    cols = [tuple(v[r][i] for r in range(n)) for i in kept]
+    dual_gens = tuple(tuple(level // diag[i] * x for x in col) for i, col in zip(kept, cols))
+    gram_cols = [mx.mat_vec(lattice.gram, col) for col in cols]
 
     def pair(i: int, j: int) -> Fraction:
-        return sum(
-            dual_gens[i][r] * Fraction(lattice.gram[r][c]) * dual_gens[j][c]
-            for r in range(n)
-            for c in range(n)
-        )
+        dot = sum(a * b for a, b in zip(cols[i], gram_cols[j]))
+        return Fraction(dot, diag[kept[i]] * diag[kept[j]])
 
     k = len(kept)
     q = tuple(pair(i, i) % 2 for i in range(k))
@@ -224,9 +216,7 @@ def discriminant_data(lattice: IntegralLattice) -> LatticeDiscriminantData:
     form = DiscriminantForm(tuple(diag[i] for i in kept), q, b)
     if form.order != lattice.disc_abs:
         raise InternalConsistencyError("discriminant group order does not match |det|")
-    return LatticeDiscriminantData(
-        lattice, form, tuple(dual_gens), u, diag, kept
-    )
+    return LatticeDiscriminantData(lattice, form, level, dual_gens, u, diag, kept)
 
 
 def discriminant_form(lattice: IntegralLattice) -> DiscriminantForm:

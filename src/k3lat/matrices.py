@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z and Q: Smith/Hermite normal forms, kernels, solvers.
+"""Exact integer linear algebra: Smith and Hermite normal forms, kernels, solves, det.
 
 All matrices are row-major tuples of tuples of Python ints (arbitrary
 precision), so nothing here can overflow or round.
@@ -6,7 +6,6 @@ precision), so nothing here can overflow or round.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -256,26 +255,6 @@ def solve_integer(a: Matrix, b: Vector) -> Vector | None:
                 return None
             y[i] = c[i] // d
     return mat_vec(v, tuple(y))
-
-
-def solve_rational(a: Matrix, b) -> tuple[Fraction, ...]:
-    """Unique rational solution of a*x = b for square nonsingular a."""
-    n = len(a)
-    if n == 0:
-        return ()
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix in solve_rational")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
 
 
 def complete_primitive_column(c: Vector) -> Matrix:

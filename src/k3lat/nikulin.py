@@ -124,6 +124,11 @@ class GluingData:
         return True
 
     def validate(self) -> None:
+        """Raise unless the tuple is valid; a glue that passes is not checked again."""
+        self._validated
+
+    @cached_property
+    def _validated(self) -> bool:
         if not (self.gamma.is_bijective and self.gamma.preserves_q):
             raise LatticeError("gluing map must be a form-respecting isomorphism")
         q = self.quotient_result.quotient
@@ -135,6 +140,7 @@ class GluingData:
             raise LatticeError(
                 f"glue quotient generator has q = {q.q[0]}, which never matches 1/{2 * self.t}"
             )
+        return True
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,10 +176,12 @@ class ExtensionCertificate:
 def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
     """The gluing tuple classifying a primitive embedding into <2n> + U.
 
-    V is the subgroup of classes in the source discriminant group represented
-    by dual vectors of the ambient lattice whose complement component is
-    integral; gamma pushes such a class into the ambient discriminant group;
-    t is read off the rank-1 orthogonal complement <-2t>.
+    The source components of the ambient basis vectors generate the source
+    glue; their classes are read off the rows of G_T*M, their integer pairing
+    vectors with the source basis.  V is the orthogonal complement of the
+    source glue; gamma pushes a class of V along M into the ambient
+    discriminant group; t is read off the rank-1 orthogonal complement <-2t>.
+    No step leaves the integers.
     """
     src = emb.source
     if src.rank != 2 or src.gram[0][0] <= 0 or src.det <= 0:
@@ -194,31 +202,25 @@ def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
     src_data = discriminant_data(src)
     amb_data = discriminant_data(target)
 
-    # Classes in A_src of the source components of the ambient basis vectors,
-    # taken in the splitting over Q given by source + complement.
-    basis = mx.freeze(
-        [
-            [emb.matrix[i][0], emb.matrix[i][1], comp.matrix[i][0]]
-            for i in range(3)
-        ]
+    # Row i of G_T*M pairs e_i with the source basis; the complement is
+    # orthogonal to the source, so this is the pairing vector of the source
+    # component of e_i, whose class is a source glue generator.
+    pairings = mx.mat_mul(target.gram, emb.matrix)
+    source_glue = FiniteSubgroup.generated_by(
+        src_data.form, [src_data.class_of(row) for row in pairings]
     )
-    glue_gens = []
-    for i in range(3):
-        e_i = tuple(1 if r == i else 0 for r in range(3))
-        coeffs = mx.solve_rational(basis, e_i)
-        glue_gens.append(src_data.class_of(coeffs[:2]))
-    source_glue = FiniteSubgroup.generated_by(src_data.form, glue_gens)
 
     v_group = source_glue.perp()
 
+    # A class of V with dual vector x goes to the class of M*x, whose pairing
+    # vector is G_T*M*x = G_T*M*(level*x) / level.
+    level = src_data.level
     images = []
     for g in v_group.structure_gens:
-        dual = src_data.dual_representative(g)
-        pushed = tuple(
-            sum(Fraction(emb.matrix[r][c]) * dual[c] for c in range(2))
-            for r in range(3)
-        )
-        images.append(amb_data.class_of(pushed))
+        pushed = mx.mat_vec(pairings, src_data.dual_representative(g))
+        if any(z % level for z in pushed):
+            raise LatticeError("vector does not lie in the dual lattice")
+        images.append(amb_data.class_of(tuple(z // level for z in pushed)))
     w_group = FiniteSubgroup.generated_by(amb_data.form, images)
     gamma = SubgroupMap(v_group, w_group, tuple(images))
     if not (gamma.is_bijective and gamma.preserves_q):

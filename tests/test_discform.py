@@ -1,9 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from k3lat import matrices as mx
 from k3lat.discform import (
     DiscriminantForm,
     FiniteSubgroup,
@@ -81,11 +83,27 @@ def test_polarization_identity_exhaustive():
             assert lhs == (2 * a.b_of(x, y)) % 2
 
 
+def _scaled_pairing(data, scaled):
+    """Pairing vector G*x of the dual vector x = scaled / level; None when x is
+    not in the dual lattice."""
+    z = mx.mat_vec(data.lattice.gram, scaled)
+    if any(v % data.level for v in z):
+        return None
+    return tuple(v // data.level for v in z)
+
+
 def test_class_of_and_dual_representative_roundtrip():
-    data = discriminant_data(IntegralLattice(((2, 0), (0, 8))))
+    lattice = IntegralLattice(((2, 0), (0, 8)))
+    data = discriminant_data(lattice)
+    assert data.level == 8
     for x in data.form.elements():
         rep = data.dual_representative(x)
-        assert data.class_of(rep) == x
+        z = _scaled_pairing(data, rep)
+        assert z is not None
+        assert data.class_of(z) == x
+    # Lattice vectors, whose pairing vectors are the Gram rows, are in class 0.
+    for row in lattice.gram:
+        assert data.class_of(row) == data.form.zero()
 
 
 def test_subgroup_structure():
@@ -114,17 +132,26 @@ def _random_even_lattice(rng, max_rank=3, max_disc=200):
 
 
 def test_dual_gens_property():
-    # Each dual generator lies in L^*, s_ii times it lies in L, and it is its own unit class.
+    # dual_gens[i] is level * x_i: x_i lies in L^*, s_i * x_i lies in L, x_i is
+    # its own unit class, and the form values are the rational pairings of the x_i.
     rng = random.Random(11)
     for _ in range(60):
         lattice = _random_even_lattice(rng, max_rank=4, max_disc=400)
         data = discriminant_data(lattice)
-        k = data.form.ngens
+        form = data.form
+        k = form.ngens
+        assert data.level == max(form.orders, default=1) == lcm(*form.orders)
         for i, gen in enumerate(data.dual_gens):
-            for row in lattice.gram:
-                assert sum(g * x for g, x in zip(row, gen)).denominator == 1
-            assert all((data.form.orders[i] * x).denominator == 1 for x in gen)
-            assert data.class_of(gen) == tuple(1 if j == i else 0 for j in range(k))
+            z = _scaled_pairing(data, gen)
+            assert z is not None
+            assert all(form.orders[i] * x % data.level == 0 for x in gen)
+            assert data.class_of(z) == tuple(1 if j == i else 0 for j in range(k))
+            for j, other in enumerate(data.dual_gens):
+                value = Fraction(sum(a * b for a, b in zip(gen, mx.mat_vec(lattice.gram, other))))
+                value /= data.level**2
+                assert value % 1 == form.b[i][j]
+                if i == j:
+                    assert value % 2 == form.q[i]
 
 
 def test_element_order_matches_repeated_addition():

@@ -171,9 +171,3 @@ def test_complete_primitive_column_fuzz():
         assert tuple(row[0] for row in t) == c
         assert abs(mx.det(t)) == 1
         checked += 1
-
-
-def test_solve_rational():
-    a = mx.freeze([[2, 1], [1, 1]])
-    x = mx.solve_rational(a, (1, 0))
-    assert x == (Fraction(1), Fraction(-1))

@@ -3,9 +3,12 @@ from math import gcd
 
 import pytest
 
+from k3lat import matrices as mx
+from k3lat import nikulin
+from k3lat.cli import run
 from k3lat.errors import InadmissibleError, LatticeError
-from k3lat.intlat import IntegralLattice, polarization_lattice, sublattice
-from k3lat.discform import SIZE_LIMIT
+from k3lat.intlat import IntegralLattice, orthogonal_complement, polarization_lattice, sublattice
+from k3lat.discform import SIZE_LIMIT, FiniteSubgroup, discriminant_data
 from k3lat.nikulin import (
     _divisor_pairs,
     admissible_m,
@@ -25,6 +28,97 @@ def seed_embedding(d):
     # diag(2, 2d) inside <2d> + U via (f+g, e).
     lam = polarization_lattice(d)
     return sublattice(lam, [(0, 1, 1), (1, 0, 0)])
+
+
+def _solve_fraction(a, b):
+    """Unique rational solution of a*x = b for square nonsingular a, by
+    Gauss-Jordan elimination over Fractions."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(aug[i][n] for i in range(n))
+
+
+def _class_of_rational(data, x):
+    """Class of a rational vector x of the dual lattice, via its pairing vector G*x."""
+    z = [sum(Fraction(g) * v for g, v in zip(row, x)) for row in data.lattice.gram]
+    assert all(v.denominator == 1 for v in z)
+    return data.class_of(tuple(int(v) for v in z))
+
+
+def _oracle_glue(emb, v_group):
+    """Source glue classes and gamma images on v_group's structure generators,
+    through the rational splitting of <2n> + U into source + complement."""
+    src_data = discriminant_data(emb.source)
+    amb_data = discriminant_data(emb.target)
+    comp = orthogonal_complement(emb.target, emb.columns())
+    basis = [[emb.matrix[i][0], emb.matrix[i][1], comp.matrix[i][0]] for i in range(3)]
+    classes = []
+    for i in range(3):
+        e_i = tuple(1 if r == i else 0 for r in range(3))
+        classes.append(_class_of_rational(src_data, _solve_fraction(basis, e_i)[:2]))
+    images = []
+    for g in v_group.structure_gens:
+        dual = [Fraction(v, src_data.level) for v in src_data.dual_representative(g)]
+        pushed = [sum(emb.matrix[r][c] * dual[c] for c in range(2)) for r in range(3)]
+        images.append(_class_of_rational(amb_data, pushed))
+    return classes, tuple(images)
+
+
+def _assert_matches_oracle(emb):
+    glue = embedding_to_glue(emb)
+    classes, images = _oracle_glue(emb, glue.v_group)
+    src_data = discriminant_data(emb.source)
+    pairings = mx.mat_mul(emb.target.gram, emb.matrix)
+    assert [src_data.class_of(z) for z in pairings] == classes
+    # V is the perp of the source glue, and the perp of a perp is the subgroup.
+    assert glue.v_group.perp() == FiniteSubgroup.generated_by(src_data.form, classes)
+    assert glue.gamma.images == images
+
+
+def test_glue_extraction_matches_rational_oracle_on_seeds():
+    for d in range(1, 6):
+        _assert_matches_oracle(seed_embedding(d))
+
+
+def test_glue_extraction_matches_rational_oracle_on_brute_force():
+    sources = (
+        DIAG22,
+        DIAG24,
+        IntegralLattice(((4, 2), (2, 4))),
+        IntegralLattice(((2, 1), (1, 4))),
+    )
+    checked = 0
+    for source in sources:
+        for n in (1, 2, 3):
+            for emb in brute_force_embeddings(source, n, 6):
+                _assert_matches_oracle(emb)
+                checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("command", ["embed", "zarhin"])
+def test_each_glue_validated_once(monkeypatch, command):
+    # The seed glue (2t = 2) and the extended glue (2t = 2554) are each checked once.
+    calls = []
+    real = nikulin._matches_reference
+
+    def counting(q_val, two_t):
+        calls.append(two_t)
+        return real(q_val, two_t)
+
+    monkeypatch.setattr(nikulin, "_matches_reference", counting)
+    code, _ = run([command, "--d", "1", "--m", "1277"])
+    assert code == 0
+    assert calls == [2, 2554]
 
 
 def test_embedding_to_glue_diag22():
