@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 
 from . import matrices as mx
 from .errors import (
@@ -238,23 +238,51 @@ def enumerate_vectors(
 
     Complete within the coefficient box only; indefinite lattices have
     infinitely many vectors of a given norm outside any box.  Output is in
-    lexicographic order over the box.
+    lexicographic order over the box.  Only the (2B+1)^(r-1) prefixes of the
+    first r-1 coordinates are scanned, for B = coeff_bound and r the rank:
+    with a prefix fixed the norm is a quadratic in the last coordinate, whose
+    integer roots in the box are solved for rather than searched.
     """
     if coeff_bound < 1:
         raise LatticeError("coefficient bound must be at least 1")
     n = lattice.rank
     if n == 0:
         return [()] if norm == 0 else []
-    out = []
+    last = n - 1
     gram = lattice.gram
+    a = gram[last][last]
+    coupling = gram[last][:last]
+    out = []
     rng = range(-coeff_bound, coeff_bound + 1)
-    for x in itertools.product(rng, repeat=n):
-        total = 0
-        for i in range(n):
-            xi = x[i]
-            if xi:
+    for h in itertools.product(rng, repeat=last):
+        head = 0
+        for i in range(last):
+            hi = h[i]
+            if hi:
                 row = gram[i]
-                total += xi * sum(row[j] * x[j] for j in range(n) if x[j])
-        if total == norm:
-            out.append(x)
+                head += hi * sum(row[j] * h[j] for j in range(last) if h[j])
+        l = sum(g * hj for g, hj in zip(coupling, h))
+        for z in _box_roots(a, l, head - norm, coeff_bound):
+            out.append(h + (z,))
     return out
+
+
+def _box_roots(a: int, l: int, c: int, bound: int):
+    """Integers z with a*z^2 + 2*l*z + c = 0 and |z| <= bound, ascending."""
+    if a == 0:
+        if l == 0:
+            return range(-bound, bound + 1) if c == 0 else ()
+        z, r = divmod(-c, 2 * l)
+        return (z,) if r == 0 and -bound <= z <= bound else ()
+    disc = l * l - a * c
+    if disc < 0:
+        return ()
+    s = isqrt(disc)
+    if s * s != disc:
+        return ()
+    roots = []
+    for num in {-l - s, -l + s}:
+        z, r = divmod(num, a)
+        if r == 0 and -bound <= z <= bound:
+            roots.append(z)
+    return sorted(roots)

@@ -487,8 +487,9 @@ def brute_force_embeddings(
     second = enumerate_vectors(target, q22, coeff_bound)
     out = []
     for x in first:
+        g0, g1, g2 = mx.mat_vec(target.gram, x)
         for y in second:
-            if target.pairing(x, y) != q12:
+            if g0 * y[0] + g1 * y[1] + g2 * y[2] != q12:
                 continue
             matrix = mx.freeze([[x[i], y[i]] for i in range(3)])
             invariants = mx.smith_invariants(matrix)

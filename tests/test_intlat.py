@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -134,19 +135,88 @@ def test_quotient_determinant_basis_independent():
     assert q2.disc_abs == 50
 
 
+def _box_scan(lattice, norm, coeff_bound):
+    """Oracle for enumerate_vectors: every point of the coefficient box, in order."""
+    box = itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=lattice.rank)
+    return [x for x in box if lattice.norm(x) == norm]
+
+
 def test_enumerate_vectors_examples():
     l2 = rank_one(2)
     assert enumerate_vectors(l2, 2, 1) == [(-1,), (1,)]
 
     u = hyperbolic_plane()
-    zeros = enumerate_vectors(u, 0, 1)
-    assert len(zeros) == 5
-    assert (0, 0) in zeros
+    assert enumerate_vectors(u, 0, 1) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
 
     lam10 = polarization_lattice(5)
-    found = enumerate_vectors(lam10, 2, 2)
-    assert (0, 1, 1) in found
-    assert (1, 2, -2) in found
+    assert enumerate_vectors(lam10, 2, 2) == [
+        (-1, -2, 2), (-1, 2, -2), (0, -1, -1), (0, 1, 1), (1, -2, 2), (1, 2, -2),
+    ]
+
+
+def test_enumerate_vectors_last_coordinate_branches():
+    # g_rr > 0: two roots, one root, or none per prefix.
+    pos = IntegralLattice(((2, 1), (1, 2)))
+    assert enumerate_vectors(pos, 2, 2) == [(-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)]
+    # g_rr < 0: dividing by a negative leading coefficient flips the roots.
+    assert enumerate_vectors(rank_one(-2), -2, 1) == [(-1,), (1,)]
+    neg = IntegralLattice(((2, 1), (1, -4)))
+    assert enumerate_vectors(neg, -4, 3) == [(-1, 1), (0, -1), (0, 1), (1, -1)]
+    # g_rr = 0 with l != 0: the norm is linear in the last coordinate.
+    for n in (1, 5, 12):
+        lam = polarization_lattice(n)
+        for norm in (0, 2, 4, -6):
+            assert enumerate_vectors(lam, norm, 5) == _box_scan(lam, norm, 5)
+    # g_rr = 0 with l = 0: the whole column of the box when c = 0.
+    u = hyperbolic_plane()
+    assert enumerate_vectors(u, 0, 2) == _box_scan(u, 0, 2)
+    assert [x for x in enumerate_vectors(u, 0, 2) if x[0] == 0] == [(0, z) for z in range(-2, 3)]
+    degenerate = IntegralLattice(((2, 0), (0, 0)))
+    assert enumerate_vectors(degenerate, 2, 1) == [
+        (-1, -1), (-1, 0), (-1, 1), (1, -1), (1, 0), (1, 1),
+    ]
+    assert enumerate_vectors(degenerate, 4, 1) == []
+    assert enumerate_vectors(IntegralLattice(()), 0, 1) == [()]
+    assert enumerate_vectors(IntegralLattice(()), 2, 1) == []
+
+
+def test_enumerate_vectors_matches_box_scan():
+    rng = random.Random(16)
+    for _ in range(300):
+        rank = rng.randint(0, 4)
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i + 1):
+                gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+        lattice = IntegralLattice(mx.freeze(gram))
+        bound = rng.randint(1, 3 if rank == 4 else 4)
+        norm = rng.randint(-12, 12)
+        assert enumerate_vectors(lattice, norm, bound) == _box_scan(lattice, norm, bound)
+
+
+def test_enumerate_vectors_matches_box_scan_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        rank = draw(st.integers(0, 4))
+        entries = iter(draw(st.lists(
+            st.integers(-6, 6), min_size=rank * (rank + 1) // 2, max_size=rank * (rank + 1) // 2
+        )))
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i + 1):
+                gram[i][j] = gram[j][i] = next(entries)
+        bound = draw(st.integers(1, 3 if rank == 4 else 4))
+        return IntegralLattice(mx.freeze(gram)), draw(st.integers(-12, 12)), bound
+
+    @hypothesis.given(cases())
+    def check(case):
+        lattice, norm, bound = case
+        assert enumerate_vectors(lattice, norm, bound) == _box_scan(lattice, norm, bound)
+
+    check()
 
 
 def test_enumerate_vectors_closed_under_negation():

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
@@ -301,6 +303,41 @@ def test_extend_glue_deterministic():
     assert first[1] == second[1]
     assert first[0].gamma.images == second[0].gamma.images
     assert first[0].t == second[0].t
+
+
+@cache
+def _box_vectors(n, norm, coeff_bound):
+    target = polarization_lattice(n)
+    box = itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=3)
+    return [x for x in box if target.norm(x) == norm]
+
+
+def _pairing_loop_embeddings(source, n, coeff_bound):
+    """Oracle for brute_force_embeddings: full box scans for both columns and
+    target.pairing on every (x, y)."""
+    target = polarization_lattice(n)
+    out = []
+    for x in _box_vectors(n, source.gram[0][0], coeff_bound):
+        for y in _box_vectors(n, source.gram[1][1], coeff_bound):
+            if target.pairing(x, y) != source.gram[0][1]:
+                continue
+            matrix = mx.freeze([[x[i], y[i]] for i in range(3)])
+            if mx.smith_invariants(matrix) == (1, 1):
+                out.append(matrix)
+    return out
+
+
+@pytest.mark.parametrize(
+    "gram", [((2, 0), (0, 2)), ((2, 0), (0, 4)), ((2, 1), (1, 2)), ((2, 1), (1, 4)), ((4, 2), (2, 4))]
+)
+def test_brute_force_embeddings_match_pairing_loop(gram):
+    source = IntegralLattice(gram)
+    total = 0
+    for n in range(1, 7):
+        found = [emb.matrix for emb in brute_force_embeddings(source, n, 8)]
+        assert found == _pairing_loop_embeddings(source, n, 8)
+        total += len(found)
+    assert total > 0
 
 
 def test_round_trip_small():
