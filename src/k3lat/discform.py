@@ -7,10 +7,11 @@ tuples reduced modulo the generator orders.
 
 A subgroup is held by its relation lattice, its preimage in Z^k: order,
 membership, coordinates, orthogonal complements and glue quotients are integer
-linear algebra on that lattice and never list elements.  Coordinates in a
-quotient of two relation lattices are read off one Smith form.  Maps between
-subgroups are checked on generators.  Only element listings (`elements`,
-`all_subgroups`, `subgroup_isometries`) enumerate, and SIZE_LIMIT guards them.
+linear algebra on that lattice.  Coordinates in a quotient of two relation
+lattices are read off one Smith form.  Maps between subgroups are checked on
+generators.  Nothing lists the elements of a group: `all_subgroups` enumerates
+relation lattices by their Hermite forms, and `subgroup_isometries` takes its
+candidate images from structure coordinates.
 """
 
 from __future__ import annotations
@@ -22,15 +23,8 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from . import matrices as mx
-from .errors import (
-    InternalConsistencyError,
-    LatticeError,
-    OddLatticeError,
-    SizeLimitError,
-)
+from .errors import InternalConsistencyError, LatticeError, OddLatticeError
 from .intlat import IntegralLattice
-
-SIZE_LIMIT = 10_000
 
 Element = tuple[int, ...]
 
@@ -120,13 +114,6 @@ class DiscriminantForm:
             if xi:
                 total += xi * sum(self.b[i][j] * yj for j, yj in enumerate(y) if yj)
         return total % 1
-
-    def elements(self) -> list[Element]:
-        if self.order > SIZE_LIMIT:
-            raise SizeLimitError(
-                f"group of order {self.order} exceeds the enumeration limit {SIZE_LIMIT}"
-            )
-        return list(itertools.product(*(range(o) for o in self.orders)))
 
     def product_with_negated(self, other: "DiscriminantForm") -> "DiscriminantForm":
         """The form q_self + (-q_other) on the direct sum, coordinates concatenated."""
@@ -264,24 +251,6 @@ class FiniteSubgroup:
         )
 
     @cached_property
-    def elements(self) -> tuple[Element, ...]:
-        """All elements, sorted; computed by closure under addition."""
-        seen = {self.ambient.zero()}
-        frontier = [self.ambient.zero()]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.gens:
-                    y = self.ambient.add(x, g)
-                    if y not in seen:
-                        if len(seen) >= SIZE_LIMIT:
-                            raise SizeLimitError("subgroup enumeration limit exceeded")
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen))
-
-    @cached_property
     def order(self) -> int:
         """|ambient| / (product of the pivots): the pivot product is the index of
         the relation lattice in Z^k."""
@@ -367,6 +336,12 @@ def _lattice_coordinates(upper: mx.Matrix, x) -> mx.Vector | None:
     return tuple(y)
 
 
+def _combination(form: DiscriminantForm, coeffs, gens) -> Element:
+    """sum coeffs[i] * gens[i], reduced in form."""
+    pairs = tuple(zip(coeffs, gens, strict=True))
+    return form.reduce(sum(c * g[i] for c, g in pairs) for i in range(form.ngens))
+
+
 @dataclass(frozen=True)
 class _SmithQuotient:
     """Cyclic decomposition of upper/lower (see `_smith_quotient`): `orders` are
@@ -422,12 +397,7 @@ class SubgroupMap:
     images: tuple[Element, ...]
 
     def __call__(self, x) -> Element:
-        coords = self.domain.coordinates(x)
-        out = self.codomain.ambient.zero()
-        for c, img in zip(coords, self.images, strict=True):
-            if c:
-                out = self.codomain.ambient.add(out, self.codomain.ambient.scale(c, img))
-        return out
+        return _combination(self.codomain.ambient, self.domain.coordinates(x), self.images)
 
     @cached_property
     def is_bijective(self) -> bool:
@@ -454,16 +424,16 @@ class SubgroupMap:
 
 def subgroup_isometries(v: FiniteSubgroup, w: FiniteSubgroup) -> list[SubgroupMap]:
     """All group isomorphisms V -> W preserving the restricted quadratic forms."""
-    if v.order != w.order:
-        return []
     if v.invariant_factors != w.invariant_factors:
         return []
-    if not v.invariant_factors:
-        return [SubgroupMap(v, w, ())]
+    # An image of a generator of order s is some sum c_j * w_j over W's structure
+    # generators of orders e_j, and s kills it iff e_j / gcd(e_j, s) divides each c_j.
     candidates = []
     for s in v.invariant_factors:
-        cands = [x for x in w.elements if not any(w.ambient.scale(s, x))]
-        candidates.append(cands)
+        steps = (range(0, e, e // gcd(e, s)) for e in w.invariant_factors)
+        candidates.append(
+            [_combination(w.ambient, c, w.structure_gens) for c in itertools.product(*steps)]
+        )
     out = []
     for images in itertools.product(*candidates):
         gamma = SubgroupMap(v, w, images)
@@ -524,14 +494,23 @@ def glue_perp_quotient(
 
 
 def all_subgroups(form: DiscriminantForm) -> list[FiniteSubgroup]:
-    """Every subgroup, by exhaustive closure of small generating sets."""
-    elems = form.elements()
-    max_gens = max(1, form.ngens)
-    seen: dict[tuple[Element, ...], FiniteSubgroup] = {}
-    trivial = FiniteSubgroup.trivial(form)
-    seen[trivial.gens] = trivial
-    for size in range(1, max_gens + 1):
-        for combo in itertools.combinations(elems, size):
-            sub = FiniteSubgroup.generated_by(form, combo)
-            seen.setdefault(sub.gens, sub)
-    return [seen[key] for key in sorted(seen)]
+    """Every subgroup, one per relation lattice M with diag(orders)*Z^k <= M <= Z^k.
+
+    Each M has exactly one Hermite row basis (Cohen, GTM 138, 2.4.3): pivots
+    h_i dividing orders[i] and entries above pivot j in [0, h_j).  Every such
+    upper-triangular matrix whose rows span the relations orders[i]*e_i is the
+    basis of one subgroup.  Sorted by canonical generators.
+    """
+    k = form.ngens
+    relations = _relation_basis(form.orders, ())
+    above = [(i, j) for j in range(k) for i in range(j)]
+    divisors = ([h for h in range(1, o + 1) if o % h == 0] for o in form.orders)
+    found = []
+    for pivots in itertools.product(*divisors):
+        for entries in itertools.product(*(range(pivots[j]) for _, j in above)):
+            basis = [[pivots[i] if i == j else 0 for j in range(k)] for i in range(k)]
+            for (i, j), a in zip(above, entries):
+                basis[i][j] = a
+            if all(_lattice_coordinates(basis, rel) is not None for rel in relations):
+                found.append(FiniteSubgroup.generated_by(form, basis))
+    return sorted(found, key=lambda sub: sub.gens)

@@ -29,10 +29,6 @@ class InvalidInputError(K3latError, ValueError):
     """An argument lies outside the range the function accepts."""
 
 
-class SizeLimitError(K3latError):
-    """Finite-group enumeration would exceed the supported size bound."""
-
-
 class OutputLimitError(K3latError):
     """A computed result is too large to serialize under the interpreter's limits."""
 

@@ -4,11 +4,14 @@ plus the congruence-driven extension from ambient degree 2d to degree 2md.
 
 A tuple is valid when the quadratic form induced on the orthogonal complement
 of the graph of gamma, modulo the graph, is cyclic of order 2t with a
-generator of q-value +-1/(2t) up to unit squares.
+generator of q-value 1/(2t) up to unit squares.  That quotient is the
+discriminant form of the complement <-2t> with q negated, so -1/(2t) never
+arises: it would need lambda^2 = -1 mod 4t.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,6 +23,7 @@ from .discform import (
     FiniteSubgroup,
     GlueQuotient,
     SubgroupMap,
+    _lattice_coordinates,
     all_subgroups,
     discriminant_data,
     discriminant_form,
@@ -52,13 +56,18 @@ def _polarization_degree(lattice: IntegralLattice) -> int:
     raise LatticeError("ambient lattice must be <2n> + U in the basis (e, f, g)")
 
 
+def _check_source(source: IntegralLattice) -> None:
+    if source.rank != 2 or source.gram[0][0] <= 0 or source.det <= 0:
+        raise LatticeError("source must be a rank-2 positive-definite lattice")
+
+
 def _matches_reference(q_val: Fraction, two_t: int) -> bool:
-    """True when some unit multiple lambda^2 * q_val hits +-1/(2t)."""
-    targets = {Fraction(1, two_t) % 2, -Fraction(1, two_t) % 2}
+    """True when some unit multiple lambda^2 * q_val hits 1/(2t)."""
+    target = Fraction(1, two_t)
     for lam in range(1, two_t + 1):
         if gcd(lam, two_t) != 1:
             continue
-        if (lam * lam * q_val) % 2 in targets:
+        if (lam * lam * q_val) % 2 == target:
             return True
     return False
 
@@ -98,20 +107,26 @@ class GluingData:
     @cached_property
     def _q_generator(self) -> tuple[tuple[int, ...], int]:
         """(x0, y0 in [1, 2n]) of the lexicographically first perp element that
-        generates the quotient with q_src(x0) - y0^2/(2n) = 1/(2t)."""
+        generates the quotient with q_src(x0) - y0^2/(2n) = 1/(2t).  For each x0,
+        reducing (x0, 0) against the perp's Hermite rows but the last leaves the
+        y with (x0, y) in the perp as one class modulo the last pivot."""
         res = self.quotient_result
         two_t = 2 * self.t
         two_n = self.w_group.ambient.orders[0]
-        n_src = self.source_form.ngens
-        target = Fraction(1, two_t) % 2
-        for elem in res.gamma_perp.elements:
-            cls = res.project(elem)
-            if len(cls) != 1 or gcd(cls[0], two_t) != 1:
+        *rows, last = res.gamma_perp._relations
+        target = Fraction(1, two_t)
+        for x0 in itertools.product(*(range(o) for o in self.source_form.orders)):
+            coeffs = _lattice_coordinates(rows, x0 + (0,))
+            if coeffs is None:
                 continue
-            if res.product.q_of(elem) != target:
-                continue
-            y_class = elem[n_src]
-            return elem[:n_src], (y_class if y_class >= 1 else two_n)
+            start = sum(c * row[-1] for c, row in zip(coeffs, rows)) % last[-1]
+            for y in range(start, two_n, last[-1]):
+                elem = x0 + (y,)
+                cls = res.project(elem)
+                if len(cls) != 1 or gcd(cls[0], two_t) != 1:
+                    continue
+                if res.product.q_of(elem) == target:
+                    return x0, (y if y >= 1 else two_n)
         raise InternalConsistencyError(
             "no quotient generator satisfies the q-normalization; glue data is inconsistent"
         )
@@ -184,8 +199,7 @@ def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
     No step leaves the integers.
     """
     src = emb.source
-    if src.rank != 2 or src.gram[0][0] <= 0 or src.det <= 0:
-        raise LatticeError("source must be a rank-2 positive-definite lattice")
+    _check_source(src)
     if not is_primitive_sublattice(emb):
         raise LatticeError("embedding is not primitive")
     target = emb.target
@@ -501,11 +515,13 @@ def brute_force_embeddings(
 
 def enumerate_valid_glues(source: IntegralLattice, n: int) -> list[GluingData]:
     """All valid gluing tuples for embeddings of `source` into <2n> + U."""
+    _check_source(source)
     a_src = discriminant_form(source)
     a_amb = discriminant_form(rank_one(2 * n))
+    w_groups = all_subgroups(a_amb)
     out = []
     for v in all_subgroups(a_src):
-        for w in all_subgroups(a_amb):
+        for w in w_groups:
             if v.order != w.order:
                 continue
             for gamma in subgroup_isometries(v, w):

@@ -197,9 +197,14 @@ def test_determinism_and_replay(tmp_path):
         assert out3 == out1
 
 
-@pytest.mark.parametrize("command, d, m", [("embed", 1, 1277), ("zarhin", 2, 313)])
+@pytest.mark.parametrize(
+    "command, d, m",
+    [("embed", 1, 1277), ("zarhin", 2, 313)]
+    + [(command, d, 1) for d in (2600, 5000, 10000) for command in ("embed", "zarhin")],
+)
 def test_glue_past_enumeration_limit(tmp_path, command, d, m):
-    # 8*m*d^2 exceeds the enumeration limit; the glue perp needs no enumeration.
+    # Product groups of order 8*m*d^2 past 10^4: the glue perp and the quotient
+    # generator are found without listing a group.
     code, out = run([command, "--d", str(d), "--m", str(m)])
     assert code == EXIT_OK, out.decode()
     manifest_path = tmp_path / "m.json"

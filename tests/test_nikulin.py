@@ -9,9 +9,16 @@ from k3lat import matrices as mx
 from k3lat import nikulin
 from k3lat.cli import run
 from k3lat.errors import InadmissibleError, LatticeError
-from k3lat.intlat import IntegralLattice, orthogonal_complement, polarization_lattice, sublattice
-from k3lat.discform import SIZE_LIMIT, FiniteSubgroup, discriminant_data
+from k3lat.intlat import (
+    IntegralLattice,
+    orthogonal_complement,
+    polarization_lattice,
+    rank_one,
+    sublattice,
+)
+from k3lat.discform import FiniteSubgroup, SubgroupMap, discriminant_data, discriminant_form
 from k3lat.nikulin import (
+    GluingData,
     _divisor_pairs,
     admissible_m,
     brute_force_embeddings,
@@ -21,6 +28,8 @@ from k3lat.nikulin import (
     extension_constants,
     realize_embedding,
 )
+
+import oracles
 
 DIAG22 = IntegralLattice(((2, 0), (0, 2)))
 DIAG24 = IntegralLattice(((2, 0), (0, 4)))
@@ -224,13 +233,62 @@ def test_extend_glue_chained():
 
 
 def test_extend_glue_past_enumeration_limit():
-    # The product group A_src + A_amb of the extended glue has order 8m = 71528.
+    # The product group A_src + A_amb of the extended glue has order 8m = 71528,
+    # past the 10^4 elements a listing of it could afford.
     glue = embedding_to_glue(seed_embedding(1))
     extended, cert = extend_glue(glue, 1, 8941)
-    assert extended.quotient_result.product.order == 8 * 8941 > SIZE_LIMIT
+    assert extended.quotient_result.product.order == 8 * 8941
     assert extended.t == cert.new_t == 8941
     assert extended.quotient_result.quotient.orders == (2 * 8941,)
     extended.validate()
+
+
+def test_q_generator_matches_perp_listing_on_seeds():
+    for d in range(1, 61):
+        glue = embedding_to_glue(seed_embedding(d))
+        assert glue._q_generator == oracles.q_generator(glue)
+
+
+def test_q_generator_matches_perp_listing_on_extended_glues():
+    checked = 0
+    for d in range(1, 5):
+        glue = embedding_to_glue(seed_embedding(d))
+        for m in range(5, 400):
+            if not admissible_m(glue, d, m)[0]:
+                continue
+            extended, _ = extend_glue(glue, d, m)
+            assert extended._q_generator == oracles.q_generator(extended)
+            checked += 1
+    assert checked > 30
+
+
+def test_glue_validity_rejects_negative_target():
+    # ((2,3),(3,2)) is indefinite; with trivial V and W into <2> + U its glue
+    # quotient is Z/10 with q = 19/10 = -1/10, which no unit square carries to 1/10.
+    a_src = discriminant_form(IntegralLattice(((2, 3), (3, 2))))
+    trivial = FiniteSubgroup.trivial(a_src)
+    w = FiniteSubgroup.trivial(discriminant_form(rank_one(2)))
+    glue = GluingData(trivial, w, SubgroupMap(trivial, w, ()), 5)
+    q = glue.quotient_result.quotient
+    assert (q.orders, q.q) == ((10,), (Fraction(19, 10),))
+    assert not glue.is_valid()
+    with pytest.raises(LatticeError):
+        glue.validate()
+
+
+@pytest.mark.parametrize("gram", [((2, 3), (3, 2)), ((-2, 0), (0, -2)), ((2,),)])
+def test_enumerate_valid_glues_rejects_non_positive_definite_source(gram):
+    with pytest.raises(LatticeError, match="rank-2 positive-definite"):
+        enumerate_valid_glues(IntegralLattice(gram), 1)
+
+
+def test_enumerate_valid_glues_past_enumeration_limit():
+    # A_L = Z/10084 is past the 10^4 elements a listing could afford.  At
+    # n = 71^2 + 1 the witness (0, 1, 1), (1, 71, -71) realizes the only glue.
+    n = 71 * 71 + 1
+    emb = sublattice(polarization_lattice(n), [(0, 1, 1), (1, 71, -71)])
+    expected = [embedding_to_glue(emb).to_json_dict()]
+    assert [g.to_json_dict() for g in enumerate_valid_glues(DIAG22, n)] == expected
 
 
 def test_divisor_pairs_matches_full_scan():
