@@ -190,14 +190,12 @@ def _cmd_disc_form(inputs):
 
 
 def _cmd_embed(inputs):
-    d, m = inputs["d"], inputs["m"]
-    seed = build_seed(d, inputs["lsq"])
+    seed = build_seed(inputs["d"], inputs["lsq"])
     glue = embedding_to_glue(seed.embedding)
-    extended, cert = extend_glue(glue, d, m)
-    n = extended.ambient_n
-    result = realize_embedding(seed.lattice, n, extended, inputs["search_bound"])
+    extended, cert = extend_glue(glue, inputs["m"])
+    result = realize_embedding(seed.lattice, extended, inputs["search_bound"])
     outputs = {
-        "ambient_n": n,
+        "ambient_n": extended.ambient_n,
         "status": result.status,
         "glue": extended.to_json_dict(),
         "certificate": cert.to_json_dict(),
@@ -359,20 +357,17 @@ def _inputs_from_args(args) -> dict:
         given["lattice"] = _load_json_file(args.lattice_file)
     elif args.command in ("disc-chain", "mukai"):
         if args.ns_file:
+            if args.h_index is not None:
+                raise CliUsageError("--h-index is not allowed with --ns-file, which carries h_index")
             doc = _load_json_file(args.ns_file)
             if not isinstance(doc, dict) or "gram" not in doc:
                 raise CliUsageError('NS JSON must be an object with a "gram" key')
             given["ns_gram"], given["h_index"] = doc["gram"], doc.get("h_index", 0)
-        elif args.ns_gram is None:
-            raise CliUsageError("one of --ns-file or --ns-gram is required")
-    elif args.command == "rep":
-        gram = args.gram_file or args.gram
-        if gram is None:
-            raise CliUsageError("one of --gram-file or --gram is required")
-        if isinstance(gram, _JsonFile):
-            doc = _load_json_file(gram)
-            gram = doc.get("gram") if isinstance(doc, dict) else doc
-        given["gram"] = gram
+        elif args.h_index is None:
+            given["h_index"] = 0
+    elif args.command == "rep" and isinstance(args.gram, _JsonFile):
+        doc = _load_json_file(args.gram)
+        given["gram"] = doc.get("gram") if isinstance(doc, dict) else doc
     elif args.command == "prime-search" and args.scan_ceiling is None:
         env = os.environ.get(SCAN_CEILING_ENV)
         try:
@@ -391,6 +386,14 @@ def _manifest_inputs(path: str) -> tuple[str, object]:
     if not isinstance(command, str) or command not in _BUILDERS:
         raise CliUsageError(f"manifest names unknown command {command!r}")
     return command, doc["inputs"]
+
+
+def _add_ns_options(p) -> None:
+    """The NS lattice: a JSON file with its h_index, or an inline Gram and --h-index."""
+    ns = p.add_mutually_exclusive_group(required=True)
+    ns.add_argument("--ns-file")
+    ns.add_argument("--ns-gram", type=_ns_gram)
+    p.add_argument("--h-index", type=int, default=None)
 
 
 def _build_parser() -> _Parser:
@@ -416,9 +419,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--e", type=int, default=None)
 
     p = sub.add_parser("disc-chain", help="discriminant comparison for v_perp")
-    p.add_argument("--ns-file")
-    p.add_argument("--ns-gram", type=_ns_gram)
-    p.add_argument("--h-index", type=int, default=0)
+    _add_ns_options(p)
     p.add_argument("--v", type=_int_list, required=True)
     p.add_argument("--partner-disc", type=int, default=None)
 
@@ -428,16 +429,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=1)
 
     p = sub.add_parser("rep", help="represent a value of a quadratic form mod ell^k")
-    p.add_argument("--gram-file", type=_JsonFile)
-    p.add_argument("--gram", type=_json_or_file)
+    p.add_argument("--gram", type=_json_or_file, required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--prec", type=int, default=1)
 
     p = sub.add_parser("mukai", help="pairings and the fine-moduli criterion")
-    p.add_argument("--ns-file")
-    p.add_argument("--ns-gram", type=_ns_gram)
-    p.add_argument("--h-index", type=int, default=0)
+    _add_ns_options(p)
     p.add_argument("--v", type=_int_list, required=True)
     p.add_argument("--w", type=_int_list, default=None)
 

@@ -396,9 +396,6 @@ class SubgroupMap:
     codomain: FiniteSubgroup
     images: tuple[Element, ...]
 
-    def __call__(self, x) -> Element:
-        return _combination(self.codomain.ambient, self.domain.coordinates(x), self.images)
-
     @cached_property
     def is_bijective(self) -> bool:
         """Well defined (s_i * images[i] = 0), onto the codomain, and of equal order."""
@@ -466,15 +463,12 @@ class GlueQuotient:
         return coords
 
 
-def glue_perp_quotient(
-    a_src: DiscriminantForm, a_amb: DiscriminantForm, gamma: SubgroupMap
-) -> GlueQuotient:
-    """Graph of gamma, its orthogonal complement, and the induced quotient form."""
-    if gamma.domain.ambient != a_src or gamma.codomain.ambient != a_amb:
-        raise LatticeError("gluing map does not match the given forms")
+def glue_perp_quotient(gamma: SubgroupMap) -> GlueQuotient:
+    """Graph of gamma, its orthogonal complement, and the induced quotient form,
+    in the product of the forms of gamma's domain and codomain."""
     if not (gamma.is_bijective and gamma.preserves_q):
         raise LatticeError("gluing map must be a form-respecting isomorphism")
-    product = a_src.product_with_negated(a_amb)
+    product = gamma.domain.ambient.product_with_negated(gamma.codomain.ambient)
     graph = FiniteSubgroup.generated_by(
         product,
         [g + tuple(img) for g, img in zip(gamma.domain.structure_gens, gamma.images, strict=True)],

@@ -1,12 +1,12 @@
-"""Gluing tuples (V, W, gamma, t) classifying primitive embeddings of a rank-2
+"""Gluing maps gamma: V -> W classifying primitive embeddings of a rank-2
 positive-definite even lattice into <2n> + U, following Nikulin's criterion,
 plus the congruence-driven extension from ambient degree 2d to degree 2md.
 
-A tuple is valid when the quadratic form induced on the orthogonal complement
-of the graph of gamma, modulo the graph, is cyclic of order 2t with a
-generator of q-value 1/(2t) up to unit squares.  That quotient is the
-discriminant form of the complement <-2t> with q negated, so -1/(2t) never
-arises: it would need lambda^2 = -1 mod 4t.
+A gluing map is valid when the quadratic form induced on the orthogonal
+complement of the graph of gamma, modulo the graph, is cyclic of some even
+order 2t with a generator of q-value 1/(2t) up to unit squares.  That
+quotient is the discriminant form of the complement <-2t> with q negated, so
+-1/(2t) never arises: it would need lambda^2 = -1 mod 4t.
 """
 
 from __future__ import annotations
@@ -74,19 +74,16 @@ def _matches_reference(q_val: Fraction, two_t: int) -> bool:
 
 @dataclass(frozen=True)
 class GluingData:
-    """Nikulin tuple (V, W, gamma, t) for an embedding into <2n> + U."""
+    """Nikulin's gluing map gamma: V -> W for an embedding into <2n> + U.
 
-    v_group: FiniteSubgroup
-    w_group: FiniteSubgroup
+    V and W are gamma's domain and codomain; the complement <-2t> is read off
+    the glue quotient.
+    """
+
     gamma: SubgroupMap
-    t: int
 
     def __post_init__(self):
-        if self.t < 1:
-            raise LatticeError("t must be a positive integer")
-        if self.gamma.domain != self.v_group or self.gamma.codomain != self.w_group:
-            raise LatticeError("gluing map endpoints do not match the given subgroups")
-        amb = self.w_group.ambient
+        amb = self.gamma.codomain.ambient
         if amb.ngens != 1 or amb.orders[0] % 2 != 0:
             raise LatticeError("ambient discriminant group must be cyclic of even order")
         if amb.q[0] != Fraction(1, amb.orders[0]):
@@ -94,15 +91,21 @@ class GluingData:
 
     @property
     def source_form(self) -> DiscriminantForm:
-        return self.v_group.ambient
+        return self.gamma.domain.ambient
 
     @property
     def ambient_n(self) -> int:
-        return self.w_group.ambient.orders[0] // 2
+        return self.gamma.codomain.ambient.orders[0] // 2
+
+    @property
+    def t(self) -> int:
+        """Half the order of the glue quotient; raises unless the glue is valid."""
+        self.validate()
+        return self.quotient_result.quotient.orders[0] // 2
 
     @cached_property
     def quotient_result(self) -> GlueQuotient:
-        return glue_perp_quotient(self.source_form, self.w_group.ambient, self.gamma)
+        return glue_perp_quotient(self.gamma)
 
     @cached_property
     def _q_generator(self) -> tuple[tuple[int, ...], int]:
@@ -112,7 +115,7 @@ class GluingData:
         y with (x0, y) in the perp as one class modulo the last pivot."""
         res = self.quotient_result
         two_t = 2 * self.t
-        two_n = self.w_group.ambient.orders[0]
+        two_n = 2 * self.ambient_n
         *rows, last = res.gamma_perp._relations
         target = Fraction(1, two_t)
         for x0 in itertools.product(*(range(o) for o in self.source_form.orders)):
@@ -139,21 +142,19 @@ class GluingData:
         return True
 
     def validate(self) -> None:
-        """Raise unless the tuple is valid; a glue that passes is not checked again."""
+        """Raise unless the glue is valid; a glue that passes is not checked again."""
         self._validated
 
     @cached_property
     def _validated(self) -> bool:
-        if not (self.gamma.is_bijective and self.gamma.preserves_q):
-            raise LatticeError("gluing map must be a form-respecting isomorphism")
         q = self.quotient_result.quotient
-        if q.orders != (2 * self.t,):
+        if len(q.orders) != 1 or q.orders[0] % 2 != 0:
             raise LatticeError(
-                f"glue quotient has generator orders {q.orders}, expected ({2 * self.t},)"
+                f"glue quotient has generator orders {q.orders}, expected one even order"
             )
-        if not _matches_reference(q.q[0], 2 * self.t):
+        if not _matches_reference(q.q[0], q.orders[0]):
             raise LatticeError(
-                f"glue quotient generator has q = {q.q[0]}, which never matches 1/{2 * self.t}"
+                f"glue quotient generator has q = {q.q[0]}, which never matches 1/{q.orders[0]}"
             )
         return True
 
@@ -161,8 +162,8 @@ class GluingData:
         return {
             "t": self.t,
             "ambient_n": self.ambient_n,
-            "v_generators": [list(g) for g in self.v_group.gens],
-            "w_generators": [list(g) for g in self.w_group.gens],
+            "v_generators": [list(g) for g in self.gamma.domain.gens],
+            "w_generators": [list(g) for g in self.gamma.codomain.gens],
             "gamma_images": [list(g) for g in self.gamma.images],
             "source_form": self.source_form.to_json_dict(),
         }
@@ -189,14 +190,14 @@ class ExtensionCertificate:
 
 
 def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
-    """The gluing tuple classifying a primitive embedding into <2n> + U.
+    """The gluing map classifying a primitive embedding into <2n> + U.
 
     The source components of the ambient basis vectors generate the source
     glue; their classes are read off the rows of G_T*M, their integer pairing
     vectors with the source basis.  V is the orthogonal complement of the
     source glue; gamma pushes a class of V along M into the ambient
-    discriminant group; t is read off the rank-1 orthogonal complement <-2t>.
-    No step leaves the integers.
+    discriminant group.  The t of the glue quotient is checked against the
+    rank-1 orthogonal complement <-2t>.  No step leaves the integers.
     """
     src = emb.source
     _check_source(src)
@@ -211,7 +212,6 @@ def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
     norm = -comp.source.gram[0][0]
     if norm % 2 != 0:
         raise InternalConsistencyError("complement of an even lattice must be even")
-    t = norm // 2
 
     src_data = discriminant_data(src)
     amb_data = discriminant_data(target)
@@ -240,8 +240,11 @@ def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
     if not (gamma.is_bijective and gamma.preserves_q):
         raise InternalConsistencyError("extracted gluing map is not a form isometry")
 
-    glue = GluingData(v_group, w_group, gamma, t)
-    glue.validate()
+    glue = GluingData(gamma)
+    if glue.t != norm // 2:
+        raise InternalConsistencyError(
+            f"glue quotient gives t = {glue.t}, but the complement has norm {-norm}"
+        )
     return glue
 
 
@@ -254,27 +257,26 @@ class ExtensionConstants:
     b: int
 
 
-def extension_constants(glue: GluingData, d: int) -> ExtensionConstants:
+def extension_constants(glue: GluingData) -> ExtensionConstants:
     """(N, a, b): admissible m satisfy m = 1 mod N with a, b residues mod m.
 
-    N = lcm(4dt, |A_source|), a = -d, b = t.  Admissibility additionally
-    requires gcd(m, 24) = 1: the relevant moduli space has dimension 4, so the
-    factorial bound (2n)! is 24.
+    N = lcm(4dt, |A_source|), a = -d, b = t, with d the glue's ambient degree.
+    Admissibility additionally requires gcd(m, 24) = 1: the relevant moduli
+    space has dimension 4, so the factorial bound (2n)! is 24.
     """
-    if glue.ambient_n != d:
-        raise LatticeError("glue ambient degree does not match d")
+    d = glue.ambient_n
     modulus = lcm(4 * d * glue.t, max(glue.source_form.order, 1))
     return ExtensionConstants(modulus, -d, glue.t)
 
 
-def admissible_m(glue: GluingData, d: int, m: int) -> tuple[bool, list[str]]:
+def admissible_m(glue: GluingData, m: int) -> tuple[bool, list[str]]:
     """Check the extension congruences for m; m = 1 is trivially admissible."""
     if m < 1:
         return False, ["m must be a positive integer"]
     if m == 1:
         return True, []
     reasons = []
-    consts = extension_constants(glue, d)
+    consts = extension_constants(glue)
     if not is_prime(m):
         reasons.append(f"{m} is not prime")
         return False, reasons
@@ -293,9 +295,7 @@ def admissible_m(glue: GluingData, d: int, m: int) -> tuple[bool, list[str]]:
     return (not reasons), reasons
 
 
-def extend_glue(
-    glue: GluingData, d: int, m: int
-) -> tuple[GluingData, ExtensionCertificate]:
+def extend_glue(glue: GluingData, m: int) -> tuple[GluingData, ExtensionCertificate]:
     """Extend a glue for <2d> + U to one for <2md> + U along an admissible prime m.
 
     Multiplication by m embeds Z/2d into Z/2md compatibly with the forms; the
@@ -303,15 +303,13 @@ def extend_glue(
     the quotient generator to q-value 1/(2tm).  The returned glue is
     re-validated from scratch.
     """
-    glue.validate()
-    if glue.ambient_n != d:
-        raise LatticeError("glue ambient degree does not match d")
+    d = glue.ambient_n
     t = glue.t
     x0, y0 = glue._q_generator
     if m == 1:
         cert = ExtensionCertificate(x0, y0, 1, 1, t)
         return glue, cert
-    ok, reasons = admissible_m(glue, d, m)
+    ok, reasons = admissible_m(glue, m)
     if not ok:
         raise InadmissibleError("; ".join(reasons))
 
@@ -328,11 +326,14 @@ def extend_glue(
     amb_new = discriminant_form(rank_one(2 * m * d))
     images = tuple(((m * img[0]) % (2 * m * d),) for img in glue.gamma.images)
     w_new = FiniteSubgroup.generated_by(amb_new, images)
-    gamma_new = SubgroupMap(glue.v_group, w_new, images)
+    gamma_new = SubgroupMap(glue.gamma.domain, w_new, images)
     if not (gamma_new.is_bijective and gamma_new.preserves_q):
         raise InternalConsistencyError("extended gluing map is not a form isometry")
-    extended = GluingData(glue.v_group, w_new, gamma_new, t * m)
-    extended.validate()
+    extended = GluingData(gamma_new)
+    if extended.t != t * m:
+        raise InternalConsistencyError(
+            f"extended glue has t = {extended.t}, expected t * m = {t * m}"
+        )
 
     # The certificate generator must land on q = 1/(2tm) after scaling by lambda.
     res = extended.quotient_result
@@ -354,15 +355,18 @@ def extend_glue(
 
 @dataclass(frozen=True)
 class EmbeddingSearchResult:
-    """Outcome of realize_embedding: a witness, or the glue certificate alone."""
+    """Outcome of realize_embedding: a witness, or None when the glue is the
+    only certificate."""
 
-    status: str  # "witness" or "certificate_only"
     embedding: SublatticeEmbedding | None
-    glue: GluingData
 
     @property
     def found(self) -> bool:
         return self.embedding is not None
+
+    @property
+    def status(self) -> str:
+        return "witness" if self.found else "certificate_only"
 
 
 def _signed_range(bound: int):
@@ -439,9 +443,7 @@ def _y_candidates(x, q12, q22, n, bound):
                 yield (ye, yf, (r - xg * yf) // xf)
 
 
-def embedding_witnesses(
-    source: IntegralLattice, n: int, glue: GluingData, search_bound: int
-):
+def embedding_witnesses(source: IntegralLattice, glue: GluingData, search_bound: int):
     """Explicit primitive embeddings realizing a valid glue inside <2n> + U, lazily.
 
     The first branch fixes the image of the first basis vector to
@@ -449,14 +451,13 @@ def embedding_witnesses(
     same scan over the other norm-q11 divisor shapes (x_e, x_f, x_g).
     """
     glue.validate()
-    if glue.ambient_n != n:
-        raise LatticeError("glue ambient degree does not match n")
     if discriminant_form(source) != glue.source_form:
         raise LatticeError("glue source form does not match the given lattice")
     if search_bound < 0:
         raise LatticeError("search bound must be nonnegative")
     if search_bound == 0:
         return
+    n = glue.ambient_n
     target = polarization_lattice(n)
     q11 = source.gram[0][0]
     q12 = source.gram[0][1]
@@ -476,14 +477,11 @@ def embedding_witnesses(
 
 
 def realize_embedding(
-    source: IntegralLattice, n: int, glue: GluingData, search_bound: int
+    source: IntegralLattice, glue: GluingData, search_bound: int
 ) -> EmbeddingSearchResult:
     """The first of `embedding_witnesses`; on exhaustion the glue itself is the
     (existence-only) certificate."""
-    emb = next(embedding_witnesses(source, n, glue, search_bound), None)
-    if emb is None:
-        return EmbeddingSearchResult("certificate_only", None, glue)
-    return EmbeddingSearchResult("witness", emb, glue)
+    return EmbeddingSearchResult(next(embedding_witnesses(source, glue, search_bound), None))
 
 
 def brute_force_embeddings(
@@ -514,7 +512,7 @@ def brute_force_embeddings(
 
 
 def enumerate_valid_glues(source: IntegralLattice, n: int) -> list[GluingData]:
-    """All valid gluing tuples for embeddings of `source` into <2n> + U."""
+    """All valid gluing maps for embeddings of `source` into <2n> + U."""
     _check_source(source)
     a_src = discriminant_form(source)
     a_amb = discriminant_form(rank_one(2 * n))
@@ -525,12 +523,7 @@ def enumerate_valid_glues(source: IntegralLattice, n: int) -> list[GluingData]:
             if v.order != w.order:
                 continue
             for gamma in subgroup_isometries(v, w):
-                res = glue_perp_quotient(a_src, a_amb, gamma)
-                orders = res.quotient.orders
-                if len(orders) != 1 or orders[0] % 2 != 0:
-                    continue
-                t = orders[0] // 2
-                candidate = GluingData(v, w, gamma, t)
+                candidate = GluingData(gamma)
                 if candidate.is_valid():
                     out.append(candidate)
     return out

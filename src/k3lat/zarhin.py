@@ -106,7 +106,7 @@ def zarhin_constants(d: int, lsq: int | None = None) -> ZarhinConstants:
     seed = build_seed(d, lsq)
     actual_lsq = seed.lattice.gram[1][1]
     glue = embedding_to_glue(seed.embedding)
-    consts = extension_constants(glue, d)
+    consts = extension_constants(glue)
     return ZarhinConstants(3 * actual_lsq**2, consts.modulus, consts.a, consts.b)
 
 
@@ -199,11 +199,10 @@ def zarhin_construct(
     seed = build_seed(d, lsq)
     actual_lsq = seed.lattice.gram[1][1]
     glue = embedding_to_glue(seed.embedding)
-    extended, cert = extend_glue(glue, d, m)
-    n = extended.ambient_n
-    ns = NeronSeveriData(((2 * n,),))
+    extended, cert = extend_glue(glue, m)
+    ns = NeronSeveriData(((2 * extended.ambient_n,),))
     r = 3 * actual_lsq**2
-    for emb in embedding_witnesses(seed.lattice, n, extended, search_bound):
+    for emb in embedding_witnesses(seed.lattice, extended, search_bound):
         v_raw = ambient_vector_to_mukai(emb.column(0))
         iso = positive_rank_isometry(v_raw)
         v = apply_isometry(iso, v_raw)

@@ -68,12 +68,12 @@ def test_criterion_2_embedding_extension():
         glue = embedding_to_glue(seed.embedding)
         primes, m = [], 2
         while len(primes) < 3:
-            if admissible_m(glue, d, m)[0]:
+            if admissible_m(glue, m)[0]:
                 primes.append(m)
             m += 1
         for m in primes:
-            extended, cert = extend_glue(glue, d, m)
-            result = realize_embedding(seed.lattice, m * d, extended, 12)
+            extended, cert = extend_glue(glue, m)
+            result = realize_embedding(seed.lattice, extended, 12)
             assert result.found, (d, m)
             emb = result.embedding
             # Exact isometry is enforced by the embedding constructor; recheck.
@@ -92,8 +92,8 @@ def test_criterion_2_embedding_extension():
     # The worked witness for d = 1, m = 5 within search bound 8.
     seed = build_seed(1)
     glue = embedding_to_glue(seed.embedding)
-    extended, _ = extend_glue(glue, 1, 5)
-    result = realize_embedding(DIAG22, 5, extended, 8)
+    extended, _ = extend_glue(glue, 5)
+    result = realize_embedding(DIAG22, extended, 8)
     assert result.embedding.columns() == [(0, 1, 1), (1, 2, -2)]
     report(2, f"extended embeddings realized for (d, m) in {checked}; "
               "d=1, m=5 witness is (0,1,1),(1,2,-2)")

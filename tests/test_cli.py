@@ -152,12 +152,13 @@ def test_rep_cli(tmp_path):
     assert code == EXIT_OK
     assert doc["checks"] == [["congruence", True]]
 
+    # --gram also accepts the path of a lattice object or of a bare matrix.
     path = write(tmp_path, "g.json", {"gram": [[2]]})
-    code, doc = payload_of(["rep", "--gram-file", path, "--target", "2", "--ell", "7"])
+    code, doc = payload_of(["rep", "--gram", path, "--target", "2", "--ell", "7"])
     assert doc["outputs"]["x"] == {"coords": [1]}
-    # --gram also accepts a file path, as in the documented interface.
-    code, doc2 = payload_of(["rep", "--gram", path, "--target", "2", "--ell", "7"])
-    assert doc2["outputs"] == doc["outputs"]
+    bare = write(tmp_path, "bare.json", [[2]])
+    code, doc2 = payload_of(["rep", "--gram", bare, "--target", "2", "--ell", "7"])
+    assert doc2 == doc
 
 
 def test_mukai_cli():
@@ -257,8 +258,19 @@ MALFORMED_INPUTS = {
         "disc-chain", "--ns-file", write(p, "ns.json", {"gram": [[2]], "h_index": "0"}),
         "--v", "1,0,-1",
     ],
-    "rep-ragged-file": lambda p: ["rep", "--gram-file", write(p, "g.json", {"gram": RAGGED})]
+    "rep-ragged-file": lambda p: ["rep", "--gram", write(p, "g.json", {"gram": RAGGED})]
     + REP_ARGS,
+    "ns-file-with-h-index": lambda p: [
+        "mukai", "--ns-file", write(p, "ns.json", {"gram": [[2]]}), "--h-index", "1",
+        "--v", "1,0,-1",
+    ],
+    "ns-file-with-ns-gram": lambda p: [
+        "mukai", "--ns-file", write(p, "ns.json", {"gram": [[2]]}), "--ns-gram", "[[4]]",
+        "--v", "1,0,-1",
+    ],
+    "rep-gram-file-option": lambda p: [
+        "rep", "--gram-file", write(p, "g.json", {"gram": [[2]]}), "--gram", "[[2]]",
+    ] + REP_ARGS,
     "rep-ragged-manifest": lambda p: _replay_argv(
         p, "rep", {"gram": RAGGED, "target": 1, "ell": 7, "prec": 1}
     ),

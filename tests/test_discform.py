@@ -10,6 +10,7 @@ from k3lat.discform import (
     DiscriminantForm,
     FiniteSubgroup,
     SubgroupMap,
+    _combination,
     all_subgroups,
     discriminant_data,
     discriminant_form,
@@ -222,6 +223,11 @@ def test_subgroup_isometries_examples():
     assert subgroup_isometries(v, FiniteSubgroup.full(am2)) == []
 
 
+def _apply(gamma, x):
+    """gamma(x), from the coordinates of x in gamma's domain."""
+    return _combination(gamma.codomain.ambient, gamma.domain.coordinates(x), gamma.images)
+
+
 def test_subgroup_isometries_closed_under_automorphisms():
     a = discriminant_form(IntegralLattice(((2, 0), (0, 2))))
     v = FiniteSubgroup.full(a)
@@ -229,7 +235,8 @@ def test_subgroup_isometries_closed_under_automorphisms():
     keyed = {g.images for g in isos}
     for g in isos:
         for h in isos:
-            comp = SubgroupMap(v, v, tuple(h(g(x)) for x in v.structure_gens))
+            # h o g on the structure generators: h of g's image of each one.
+            comp = SubgroupMap(v, v, tuple(_apply(h, y) for y in g.images))
             assert comp.images in keyed
 
 
@@ -296,7 +303,7 @@ def test_glue_trivial():
     a = discriminant_form(IntegralLattice(((2, 0), (0, 2))))
     b = discriminant_form(rank_one(2))
     gamma = subgroup_isometries(FiniteSubgroup.trivial(a), FiniteSubgroup.trivial(b))[0]
-    res = glue_perp_quotient(a, b, gamma)
+    res = glue_perp_quotient(gamma)
     assert res.gamma.order == 1
     assert res.gamma_perp.order == a.order * b.order
     assert res.quotient.order == a.order * b.order
@@ -312,7 +319,7 @@ def test_glue_diag22_into_degree2():
     w = FiniteSubgroup.full(a_amb)
     isos = subgroup_isometries(v, w)
     assert len(isos) == 1
-    res = glue_perp_quotient(a_src, a_amb, isos[0])
+    res = glue_perp_quotient(isos[0])
     assert res.quotient.orders == (2,)
     assert res.quotient.q == (Fraction(1, 2),)
 
@@ -331,7 +338,7 @@ def _glue_cases():
 def test_glue_counting_identity():
     # |quotient| * |graph|^2 = |A_src| * |A_amb| for nondegenerate ambient pairing.
     for src, amb, gamma in _glue_cases():
-        res = glue_perp_quotient(src, amb, gamma)
+        res = glue_perp_quotient(gamma)
         assert res.quotient.order * res.gamma.order**2 == src.order * amb.order
 
 
@@ -340,7 +347,7 @@ def test_glue_project():
     a_amb = discriminant_form(rank_one(2))
     v = FiniteSubgroup.generated_by(a_src, [(0, 1)])
     gamma = subgroup_isometries(v, FiniteSubgroup.full(a_amb))[0]
-    res = glue_perp_quotient(a_src, a_amb, gamma)
+    res = glue_perp_quotient(gamma)
     # Graph elements project to zero; a generator rep projects to a generator.
     for x in oracles.subgroup_elements(res.gamma):
         assert res.project(x) == (0,)
@@ -349,8 +356,8 @@ def test_glue_project():
     assert res.quotient.q_of(res.project(rep)) == res.product.q_of(rep)
 
     # On every glue case, project is a surjective homomorphism with kernel gamma.
-    for src, amb, gamma in _glue_cases():
-        res = glue_perp_quotient(src, amb, gamma)
+    for _, _, gamma in _glue_cases():
+        res = glue_perp_quotient(gamma)
         perp = oracles.subgroup_elements(res.gamma_perp)
         zero = res.quotient.zero()
         for x in perp:

@@ -122,7 +122,7 @@ def test_project_is_quotient_by_graph(data):
     v = FiniteSubgroup.generated_by(src, data.draw(st.lists(elements_of(src), min_size=1, max_size=2)))
     isos = [g for w in all_subgroups(amb) for g in subgroup_isometries(v, w)]
     hypothesis.assume(isos)
-    res = glue_perp_quotient(src, amb, data.draw(st.sampled_from(isos)))
+    res = glue_perp_quotient(data.draw(st.sampled_from(isos)))
     perp = res.gamma_perp
     members = oracles.subgroup_elements(perp)
     zero = res.quotient.zero()

@@ -86,12 +86,12 @@ def _oracle_glue(emb, v_group):
 
 def _assert_matches_oracle(emb):
     glue = embedding_to_glue(emb)
-    classes, images = _oracle_glue(emb, glue.v_group)
+    classes, images = _oracle_glue(emb, glue.gamma.domain)
     src_data = discriminant_data(emb.source)
     pairings = mx.mat_mul(emb.target.gram, emb.matrix)
     assert [src_data.class_of(z) for z in pairings] == classes
     # V is the perp of the source glue, and the perp of a perp is the subgroup.
-    assert glue.v_group.perp() == FiniteSubgroup.generated_by(src_data.form, classes)
+    assert glue.gamma.domain.perp() == FiniteSubgroup.generated_by(src_data.form, classes)
     assert glue.gamma.images == images
 
 
@@ -135,8 +135,8 @@ def test_each_glue_validated_once(monkeypatch, command):
 def test_embedding_to_glue_diag22():
     glue = embedding_to_glue(seed_embedding(1))
     assert glue.t == 1
-    assert glue.v_group.order == 2
-    assert glue.w_group.order == 2
+    assert glue.gamma.domain.order == 2
+    assert glue.gamma.codomain.order == 2
     glue.validate()
     # The quotient generator has q = lambda^2 / (2t) for a unit lambda: the
     # positive normalization, not only +-1/(2t).
@@ -154,7 +154,7 @@ def test_embedding_to_glue_general_degree_complement():
     for d in (1, 2, 3, 5):
         glue = embedding_to_glue(seed_embedding(d))
         assert glue.t == 1
-        assert glue.v_group.order == 2 * d
+        assert glue.gamma.domain.order == 2 * d
         glue.validate()
 
 
@@ -171,14 +171,14 @@ def test_embedding_to_glue_errors():
 
 def test_extension_constants():
     glue = embedding_to_glue(seed_embedding(1))
-    consts = extension_constants(glue, 1)
+    consts = extension_constants(glue)
     assert (consts.modulus, consts.a, consts.b) == (4, -1, 1)
 
-    ok, _ = admissible_m(glue, 1, 5)
+    ok, _ = admissible_m(glue, 5)
     assert ok
-    ok, reasons = admissible_m(glue, 1, 3)
+    ok, reasons = admissible_m(glue, 3)
     assert not ok and any("-1" in r for r in reasons)
-    ok, reasons = admissible_m(glue, 1, 9)
+    ok, reasons = admissible_m(glue, 9)
     assert not ok
 
 
@@ -189,7 +189,7 @@ def test_admissible_first_primes():
         found = []
         m = 2
         while len(found) < 3:
-            ok, _ = admissible_m(glue, d, m)
+            ok, _ = admissible_m(glue, m)
             if ok:
                 found.append(m)
             m += 1
@@ -198,7 +198,7 @@ def test_admissible_first_primes():
 
 def test_extend_glue_worked_example():
     glue = embedding_to_glue(seed_embedding(1))
-    extended, cert = extend_glue(glue, 1, 5)
+    extended, cert = extend_glue(glue, 5)
     assert extended.t == 5
     assert extended.ambient_n == 5
     assert cert.m == 5
@@ -212,11 +212,11 @@ def test_extend_glue_worked_example():
 
 def test_extend_glue_identity_and_failure():
     glue = embedding_to_glue(seed_embedding(1))
-    same, cert = extend_glue(glue, 1, 1)
+    same, cert = extend_glue(glue, 1)
     assert same is glue
     assert cert.lam == 1
     with pytest.raises(InadmissibleError):
-        extend_glue(glue, 1, 3)
+        extend_glue(glue, 3)
 
 
 def test_extend_glue_chained():
@@ -225,9 +225,9 @@ def test_extend_glue_chained():
     emb = sublattice(lam10, [(0, 1, 1), (1, 2, -2)])
     glue = embedding_to_glue(emb)
     assert glue.t == 5
-    ok, _ = admissible_m(glue, 5, 101)
+    ok, _ = admissible_m(glue, 101)
     assert ok
-    extended, cert = extend_glue(glue, 5, 101)
+    extended, cert = extend_glue(glue, 101)
     assert extended.t == 505
     assert extended.ambient_n == 505
 
@@ -236,7 +236,7 @@ def test_extend_glue_past_enumeration_limit():
     # The product group A_src + A_amb of the extended glue has order 8m = 71528,
     # past the 10^4 elements a listing of it could afford.
     glue = embedding_to_glue(seed_embedding(1))
-    extended, cert = extend_glue(glue, 1, 8941)
+    extended, cert = extend_glue(glue, 8941)
     assert extended.quotient_result.product.order == 8 * 8941
     assert extended.t == cert.new_t == 8941
     assert extended.quotient_result.quotient.orders == (2 * 8941,)
@@ -254,9 +254,9 @@ def test_q_generator_matches_perp_listing_on_extended_glues():
     for d in range(1, 5):
         glue = embedding_to_glue(seed_embedding(d))
         for m in range(5, 400):
-            if not admissible_m(glue, d, m)[0]:
+            if not admissible_m(glue, m)[0]:
                 continue
-            extended, _ = extend_glue(glue, d, m)
+            extended, _ = extend_glue(glue, m)
             assert extended._q_generator == oracles.q_generator(extended)
             checked += 1
     assert checked > 30
@@ -268,12 +268,24 @@ def test_glue_validity_rejects_negative_target():
     a_src = discriminant_form(IntegralLattice(((2, 3), (3, 2))))
     trivial = FiniteSubgroup.trivial(a_src)
     w = FiniteSubgroup.trivial(discriminant_form(rank_one(2)))
-    glue = GluingData(trivial, w, SubgroupMap(trivial, w, ()), 5)
+    glue = GluingData(SubgroupMap(trivial, w, ()))
     q = glue.quotient_result.quotient
     assert (q.orders, q.q) == ((10,), (Fraction(19, 10),))
     assert not glue.is_valid()
     with pytest.raises(LatticeError):
         glue.validate()
+
+
+def test_glue_t_needs_a_cyclic_quotient():
+    # diag(2,2) with trivial V and W into <2> + U leaves the whole product
+    # (Z/2)^3 as the quotient: no t, and reading it raises the validation error.
+    trivial = FiniteSubgroup.trivial(discriminant_form(DIAG22))
+    w = FiniteSubgroup.trivial(discriminant_form(rank_one(2)))
+    glue = GluingData(SubgroupMap(trivial, w, ()))
+    assert glue.quotient_result.quotient.orders == (2, 2, 2)
+    assert not glue.is_valid()
+    with pytest.raises(LatticeError, match="generator orders"):
+        glue.t
 
 
 @pytest.mark.parametrize("gram", [((2, 3), (3, 2)), ((-2, 0), (0, -2)), ((2,),)])
@@ -304,24 +316,27 @@ def test_divisor_pairs_matches_full_scan():
 
 def test_realize_embedding_examples():
     glue5 = embedding_to_glue(sublattice(polarization_lattice(5), [(0, 1, 1), (1, 2, -2)]))
-    res = realize_embedding(DIAG22, 5, glue5, 8)
+    res = realize_embedding(DIAG22, glue5, 8)
     assert res.found
     assert res.embedding.columns() == [(0, 1, 1), (1, 2, -2)]
 
     glue1 = embedding_to_glue(seed_embedding(1))
-    res1 = realize_embedding(DIAG22, 1, glue1, 8)
+    res1 = realize_embedding(DIAG22, glue1, 8)
     assert res1.found
     assert res1.embedding.columns() == [(0, 1, 1), (1, 0, 0)]
 
-    res0 = realize_embedding(DIAG22, 5, glue5, 0)
+    assert res.status == res1.status == "witness"
+
+    res0 = realize_embedding(DIAG22, glue5, 0)
     assert res0.status == "certificate_only"
+    assert not res0.found
     assert res0.embedding is None
 
 
 def test_realize_via_extension_pipeline():
     glue = embedding_to_glue(seed_embedding(1))
-    extended, _ = extend_glue(glue, 1, 5)
-    res = realize_embedding(DIAG22, 5, extended, 8)
+    extended, _ = extend_glue(glue, 5)
+    res = realize_embedding(DIAG22, extended, 8)
     assert res.found
     emb = res.embedding
     # Exact isometric, primitive image.
@@ -333,8 +348,8 @@ def test_realize_needs_divisor_branch():
     # d = 2, m = 17: there is no witness with first column (0, 1, 1); the
     # divisor branch finds one with larger hyperbolic coordinates.
     glue = embedding_to_glue(seed_embedding(2))
-    extended, _ = extend_glue(glue, 2, 17)
-    res = realize_embedding(DIAG24, 34, extended, 12)
+    extended, _ = extend_glue(glue, 17)
+    res = realize_embedding(DIAG24, extended, 12)
     assert res.found
     cols = res.embedding.columns()
     assert cols[0] != (0, 1, 1)
@@ -347,7 +362,7 @@ def test_realize_non_diagonal_source():
     source = IntegralLattice(((2, 1), (1, 2)))
     emb = sublattice(polarization_lattice(1), [(0, 1, 1), (1, 0, 1)])
     glue = embedding_to_glue(emb)
-    res = realize_embedding(source, 1, glue, 8)
+    res = realize_embedding(source, glue, 8)
     assert res.found
     found = res.embedding
     assert found.source.gram == source.gram
@@ -356,8 +371,8 @@ def test_realize_non_diagonal_source():
 
 def test_extend_glue_deterministic():
     glue = embedding_to_glue(seed_embedding(1))
-    first = extend_glue(glue, 1, 13)
-    second = extend_glue(glue, 1, 13)
+    first = extend_glue(glue, 13)
+    second = extend_glue(glue, 13)
     assert first[1] == second[1]
     assert first[0].gamma.images == second[0].gamma.images
     assert first[0].t == second[0].t
