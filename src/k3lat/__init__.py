@@ -27,7 +27,6 @@ from .discform import (
     SubgroupMap,
     discriminant_form,
     glue_perp_quotient,
-    q_value,
     subgroup_isometries,
 )
 from .nikulin import (
@@ -60,13 +59,10 @@ from .zarhin import (
     zarhin_construct,
 )
 from .twisted import (
-    TranscendentalModel,
     TwistedMukaiLattice,
     WitnessRecord,
     divisibility_nv,
     partner_disc,
-    twisted_disc_identity,
-    twisted_lattice,
     witness_sequence,
 )
 from .modarith import (

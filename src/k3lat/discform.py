@@ -210,10 +210,6 @@ def discriminant_form(lattice: IntegralLattice) -> DiscriminantForm:
     return discriminant_data(lattice).form
 
 
-def q_value(form: DiscriminantForm, x) -> Fraction:
-    return form.q_of(x)
-
-
 @dataclass(frozen=True)
 class FiniteSubgroup:
     """Subgroup of a discriminant group, stored by canonical HNF generators.

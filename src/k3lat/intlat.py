@@ -127,9 +127,6 @@ class SublatticeEmbedding:
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.source.rank)]
 
-    def apply(self, x: Vector) -> Vector:
-        return mx.mat_vec(self.matrix, x)
-
 
 def identity_embedding(lattice: IntegralLattice) -> SublatticeEmbedding:
     return SublatticeEmbedding(lattice, lattice, mx.identity(lattice.rank))
@@ -141,6 +138,12 @@ def is_primitive_sublattice(emb: SublatticeEmbedding) -> bool:
     if len(invariants) < emb.source.rank:
         raise DegenerateEmbeddingError("embedding matrix is rank-deficient")
     return all(d == 1 for d in invariants)
+
+
+def is_primitive_pair(matrix: mx.Matrix) -> bool:
+    """True when the two columns of `matrix` span a primitive rank-2 sublattice."""
+    invariants = mx.smith_invariants(matrix)
+    return len(invariants) == 2 and all(x == 1 for x in invariants)
 
 
 def sublattice(target: IntegralLattice, columns) -> SublatticeEmbedding:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd, prod
 
 from . import matrices as mx
 from .errors import InvalidInputError, LatticeError, NotIsotropicError, RankMismatchError
@@ -162,12 +162,7 @@ def fujiki_degree(q: int, n: int) -> int:
     """Top self-intersection (2n)! q^n / (n! 2^n) = (2n-1)!! * q^n."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    num = factorial(2 * n) * q**n
-    den = factorial(n) * 2**n
-    out = Fraction(num, den)
-    if out.denominator != 1:
-        raise LatticeError("Fujiki value is not an integer")
-    return int(out)
+    return prod(range(1, 2 * n, 2)) * q**n
 
 
 def full_mukai_lattice(ns: NeronSeveriData) -> IntegralLattice:

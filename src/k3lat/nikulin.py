@@ -39,6 +39,7 @@ from .intlat import (
     IntegralLattice,
     SublatticeEmbedding,
     enumerate_vectors,
+    is_primitive_pair,
     is_primitive_sublattice,
     orthogonal_complement,
     polarization_lattice,
@@ -470,10 +471,8 @@ def embedding_witnesses(source: IntegralLattice, glue: GluingData, search_bound:
                 raise InternalConsistencyError("x candidate has wrong norm")
             for y in _y_candidates(x, q12, q22, n, search_bound):
                 matrix = mx.freeze([[x[i], y[i]] for i in range(3)])
-                invariants = mx.smith_invariants(matrix)
-                if len(invariants) != 2 or any(v != 1 for v in invariants):
-                    continue
-                yield SublatticeEmbedding(source, target, matrix)
+                if is_primitive_pair(matrix):
+                    yield SublatticeEmbedding(source, target, matrix)
 
 
 def realize_embedding(
@@ -504,10 +503,8 @@ def brute_force_embeddings(
             if g0 * y[0] + g1 * y[1] + g2 * y[2] != q12:
                 continue
             matrix = mx.freeze([[x[i], y[i]] for i in range(3)])
-            invariants = mx.smith_invariants(matrix)
-            if len(invariants) != 2 or any(v != 1 for v in invariants):
-                continue
-            out.append(SublatticeEmbedding(source, target, matrix))
+            if is_primitive_pair(matrix):
+                out.append(SublatticeEmbedding(source, target, matrix))
     return out
 
 

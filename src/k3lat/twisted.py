@@ -4,10 +4,10 @@ the divisibility invariant n_v, and the discriminant-growth witness sequences.
 The twist of order r is spanned by (r, alpha, 0), omega and the NS classes;
 coordinates below are always (a, c, D_1, ..., D_s) with respect to that basis,
 so the vector (a*r, D + a*alpha, c*omega) has coordinates (a, c, D).  The
-transcendental side is modeled by a finite-rank integer lattice orthogonal to
-NS carrying the distinguished class gamma; only gamma^2 enters any Gram
-matrix.  Torsion phenomena at the residue characteristic are not modeled:
-reports carry p_t_exponent = 0.
+class alpha is the transcendental class gamma, orthogonal to NS; only the
+integer gamma^2 enters any Gram matrix, so a twist is the triple
+(NS, gamma^2, r).  Torsion phenomena at the residue characteristic are not
+modeled: reports carry p_t_exponent = 0.
 """
 
 from __future__ import annotations
@@ -28,38 +28,16 @@ from .mukai import NeronSeveriData
 
 
 @dataclass(frozen=True)
-class TranscendentalModel:
-    """Integer stand-in for the transcendental lattice, orthogonal to NS."""
-
-    gram: mx.Matrix
-    gamma_index: int = 0
-
-    def __post_init__(self):
-        g = mx.freeze(self.gram)
-        object.__setattr__(self, "gram", g)
-        if not mx.is_symmetric(g):
-            raise LatticeError("transcendental Gram matrix must be symmetric")
-        if any(g[i][i] % 2 for i in range(len(g))):
-            raise LatticeError("transcendental Gram matrix must be even")
-        if not 0 <= self.gamma_index < len(g):
-            raise LatticeError("gamma index out of range")
-        if g[self.gamma_index][self.gamma_index] >= 0:
-            raise LatticeError("gamma must have negative self-intersection")
-
-    @property
-    def gamma_square(self) -> int:
-        return self.gram[self.gamma_index][self.gamma_index]
-
-
-@dataclass(frozen=True)
 class TwistedMukaiLattice:
     """Lattice spanned by (r, alpha, 0), omega and the NS basis classes."""
 
     ns: NeronSeveriData
-    trans: TranscendentalModel
+    gamma_square: int
     r: int
 
     def __post_init__(self):
+        if self.gamma_square >= 0 or self.gamma_square % 2:
+            raise LatticeError("gamma^2 must be a negative even integer")
         if self.r < 1:
             raise LatticeError("twist order r must be a positive integer")
         if self.lattice.disc_abs != self.r**2 * abs(self.ns.lattice().det):
@@ -67,9 +45,8 @@ class TwistedMukaiLattice:
 
     @cached_property
     def lattice(self) -> IntegralLattice:
-        a2 = self.trans.gamma_square
         s = self.ns.rank
-        rows = [[a2, -self.r] + [0] * s, [-self.r, 0] + [0] * s]
+        rows = [[self.gamma_square, -self.r] + [0] * s, [-self.r, 0] + [0] * s]
         for i in range(s):
             rows.append([0, 0] + list(self.ns.gram[i]))
         return IntegralLattice(mx.freeze(rows))
@@ -90,22 +67,6 @@ class TwistedMukaiLattice:
 
     def norm(self, x) -> int:
         return self.lattice.norm(tuple(x))
-
-
-def twisted_lattice(
-    ns: NeronSeveriData, trans: TranscendentalModel, r: int
-) -> TwistedMukaiLattice:
-    return TwistedMukaiLattice(ns, trans, r)
-
-
-def twisted_disc_identity(
-    ns: NeronSeveriData, trans: TranscendentalModel, r: int
-) -> tuple[int, int, bool]:
-    """(|disc twist|, r^2 |disc NS|, equality flag); the flag is always True."""
-    twist = TwistedMukaiLattice(ns, trans, r)
-    lhs = twist.lattice.disc_abs
-    rhs = r**2 * abs(ns.lattice().det)
-    return lhs, rhs, lhs == rhs
 
 
 def divisibility_nv(twist: TwistedMukaiLattice, v) -> int:
@@ -232,38 +193,10 @@ class WitnessRecord:
         }
 
 
-def default_models(
-    d: int, e: int | None = None
-) -> tuple[NeronSeveriData, TranscendentalModel, tuple[int, ...], tuple[int, ...] | None]:
-    """NS containing D with D^2 = 2d (and B with B^2 = 2e, B.D = 0 when asked),
-    transcendental model [[-2d]] carrying gamma."""
-    if d < 1:
-        raise LatticeError("d must be a positive integer")
-    if e is None:
-        ns = NeronSeveriData(((2 * d,),))
-        d_coeffs: tuple[int, ...] = (1,)
-        b_coeffs = None
-    else:
-        if e < 1:
-            raise LatticeError("e must be a positive integer")
-        ns = NeronSeveriData(((2 * d, 0), (0, 2 * e)))
-        d_coeffs = (1, 0)
-        b_coeffs = (0, 1)
-    trans = TranscendentalModel(((-2 * d,),))
-    return ns, trans, d_coeffs, b_coeffs
-
-
-def witness_sequence(
-    d: int,
-    ell: int,
-    n_max: int,
-    e: int | None = None,
-    ns: NeronSeveriData | None = None,
-    trans: TranscendentalModel | None = None,
-    d_coeffs: tuple[int, ...] | None = None,
-    b_coeffs: tuple[int, ...] | None = None,
-) -> list[WitnessRecord]:
-    """Records for v_n = (ell^n, gamma + D, 0) and h_n = (ell^2n, ell^n gamma, -2d).
+def witness_sequence(d: int, ell: int, n_max: int, e: int | None = None) -> list[WitnessRecord]:
+    """Records for v_n = (ell^n, gamma + D, 0) and h_n = (ell^2n, ell^n gamma, -2d)
+    in the twists by gamma^2 = -2d of NS = <D> = <2d>, or of NS = <D> + <B> =
+    <2d> + <2e> when e is given.
 
     Every identity (v_n^2 = 0, h_n.v_n = 0, h_n^2 = 2d ell^2n, b_n.v_n = 0,
     b_n^2 = 2e, n_v^2 <= 4d^2) is verified by exact lattice arithmetic, and the
@@ -273,29 +206,22 @@ def witness_sequence(
         raise NotPrimeError(f"{ell} is not prime")
     if n_max < 1:
         raise LatticeError("n_max must be a positive integer")
-    if ns is None or trans is None:
-        ns, trans, d_coeffs, b_coeffs = default_models(d, e)
-    if d_coeffs is None:
-        raise LatticeError("a model NS class D must be supplied with a custom model")
-    if trans.gamma_square != -2 * d:
-        raise LatticeError(
-            f"model gamma^2 is {trans.gamma_square}, the sequence needs -2*{d}"
-        )
-    if ns.lattice().norm(d_coeffs) != 2 * d:
-        raise LatticeError("model class D must have D^2 = 2d")
-    if e is not None:
-        if b_coeffs is None:
-            raise LatticeError("b_n requested but no model class B available")
-        if ns.lattice().norm(b_coeffs) != 2 * e:
-            raise LatticeError("model class B must have B^2 = 2e")
-        if ns.lattice().pairing(d_coeffs, b_coeffs) != 0:
-            raise LatticeError("model classes B and D must be orthogonal")
+    if d < 1:
+        raise LatticeError("d must be a positive integer")
+    if e is None:
+        ns = NeronSeveriData(((2 * d,),))
+        d_coeffs: tuple[int, ...] = (1,)
+    else:
+        if e < 1:
+            raise LatticeError("e must be a positive integer")
+        ns = NeronSeveriData(((2 * d, 0), (0, 2 * e)))
+        d_coeffs = (1, 0)
 
     records = []
     prev_val = None
     for n in range(1, n_max + 1):
         r = ell**n
-        twist = TwistedMukaiLattice(ns, trans, r)
+        twist = TwistedMukaiLattice(ns, -2 * d, r)
         v_n = twist.vector(1, 0, d_coeffs)
         h_n = twist.vector(ell**n, -2 * d)
         identities = {
@@ -306,7 +232,7 @@ def witness_sequence(
         }
         b_n = None
         if e is not None:
-            b_n = twist.vector(0, 0, b_coeffs)
+            b_n = twist.vector(0, 0, (0, 1))
             identities["b_dot_v_zero"] = twist.pairing(b_n, v_n) == 0
             identities["b_sq_expected"] = twist.norm(b_n) == 2 * e
         report = partner_disc(twist, v_n, ell)

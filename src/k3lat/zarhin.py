@@ -17,6 +17,7 @@ from .errors import InternalConsistencyError, LatticeError, SearchExhaustedError
 from .intlat import (
     IntegralLattice,
     SublatticeEmbedding,
+    is_primitive_pair,
     polarization_lattice,
     sublattice,
 )
@@ -41,6 +42,8 @@ from .nikulin import (
 # Top Chern degrees killing the Brauer obstruction for descent of the class.
 DESCENT_MULTIPLIER_DIM4 = 324    # 2^2 * 3^4
 DESCENT_MULTIPLIER_DIM6 = 3200   # 2^7 * 5^2
+# The seed scan tries l = (l_e, l_f, -l_f) for l_e = 0, ..., SEED_SEARCH_BOUND.
+SEED_SEARCH_BOUND = 24
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class SeedData:
     l: tuple[int, ...]
 
 
-def build_seed(d: int, lsq: int | None = None, search_bound: int = 24) -> SeedData:
+def build_seed(d: int, lsq: int | None = None) -> SeedData:
     """Seed diag(2, lsq) inside <2d> + U: v = f + g (norm 2), l orthogonal to v
     of norm lsq, and w = g pairing to 1 with v.
 
@@ -70,7 +73,7 @@ def build_seed(d: int, lsq: int | None = None, search_bound: int = 24) -> SeedDa
     ambient = polarization_lattice(d)
     v = (0, 1, 1)
     w = (0, 0, 1)
-    for le in range(0, search_bound + 1):
+    for le in range(0, SEED_SEARCH_BOUND + 1):
         rem = d * le * le - lsq // 2  # lf^2 = d*le^2 - lsq/2
         if rem < 0:
             continue
@@ -79,8 +82,7 @@ def build_seed(d: int, lsq: int | None = None, search_bound: int = 24) -> SeedDa
             continue
         for cand in ((le, lf, -lf), (le, -lf, lf)):
             matrix = mx.freeze([[v[i], cand[i]] for i in range(3)])
-            invariants = mx.smith_invariants(matrix)
-            if len(invariants) == 2 and all(x == 1 for x in invariants):
+            if is_primitive_pair(matrix):
                 emb = sublattice(ambient, [v, cand])
                 if emb.source.gram != ((2, 0), (0, lsq)):
                     raise InternalConsistencyError("seed Gram is not diag(2, lsq)")
@@ -88,7 +90,7 @@ def build_seed(d: int, lsq: int | None = None, search_bound: int = 24) -> SeedDa
             if lf == 0:
                 break
     raise SearchExhaustedError(
-        f"no primitive seed with l^2 = {lsq} inside degree-2*{d} within bound {search_bound}"
+        f"no primitive seed with l^2 = {lsq} inside degree-2*{d} within bound {SEED_SEARCH_BOUND}"
     )
 
 

@@ -23,11 +23,9 @@ from k3lat.nikulin import (
     realize_embedding,
 )
 from k3lat.twisted import (
-    TranscendentalModel,
+    TwistedMukaiLattice,
     divisibility_nv,
     partner_disc,
-    twisted_disc_identity,
-    twisted_lattice,
     witness_sequence,
 )
 from k3lat.zarhin import build_seed, zarhin_constants
@@ -126,10 +124,9 @@ def test_criterion_4_twisted_disc_identity():
         if det(gram) == 0:
             continue
         ns = NeronSeveriData(gram)
-        trans = TranscendentalModel(((-gram[0][0],),))
         ell, n = combos[checked % len(combos)]
-        lhs, rhs, equal = twisted_disc_identity(ns, trans, ell**n)
-        assert equal and lhs == ell ** (2 * n) * ns.lattice().disc_abs
+        twist = TwistedMukaiLattice(ns, -gram[0][0], ell**n)
+        assert twist.lattice.disc_abs == ell ** (2 * n) * ns.lattice().disc_abs
         checked += 1
     report(4, "twisted discriminant identity |disc| = r^2 |disc NS| on 100 random Grams")
 
@@ -144,9 +141,8 @@ def test_criterion_5_partner_disc_identity():
         if det(gram) == 0:
             continue
         ns = NeronSeveriData(gram)
-        trans = TranscendentalModel(((-gram[0][0],),))
         ell, n = combos[checked % len(combos)]
-        twist = twisted_lattice(ns, trans, ell**n)
+        twist = TwistedMukaiLattice(ns, -gram[0][0], ell**n)
         d_coeffs = tuple(1 if i == 0 else 0 for i in range(rank))
         v1 = twist.vector(1, 0, d_coeffs)
         assert twist.norm(v1) == 0

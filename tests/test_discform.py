@@ -15,7 +15,6 @@ from k3lat.discform import (
     discriminant_data,
     discriminant_form,
     glue_perp_quotient,
-    q_value,
     subgroup_isometries,
 )
 from k3lat.errors import LatticeError, OddLatticeError
@@ -49,9 +48,9 @@ def test_discriminant_form_errors():
 
 def test_q_value_examples():
     a = discriminant_form(rank_one(10))
-    assert q_value(a, (1,)) == Fraction(1, 10)
-    assert q_value(a, (0,)) == 0
-    assert q_value(a, (3,)) == Fraction(9, 10)
+    assert a.q_of((1,)) == Fraction(1, 10)
+    assert a.q_of((0,)) == 0
+    assert a.q_of((3,)) == Fraction(9, 10)
 
 
 def test_group_order_matches_det():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -84,6 +85,16 @@ def test_fujiki_degree():
         assert fujiki_degree(lsq**2, 2) == 3 * lsq**4
     for q in range(-20, 21):
         assert fujiki_degree(q, 2) == 3 * q * q
+
+
+def test_fujiki_degree_matches_factorial_formula():
+    for n in range(1, 9):
+        for q in (-7, -2, -1, 0, 1, 2, 5, 12):
+            expected = factorial(2 * n) * q**n // (factorial(n) * 2**n)
+            assert fujiki_degree(q, n) == expected
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            fujiki_degree(2, n)
 
 
 def test_full_mukai_lattice():

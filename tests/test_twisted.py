@@ -6,37 +6,37 @@ from k3lat.errors import LatticeError, NotIsotropicError, NotPrimeError
 from k3lat.matrices import freeze
 from k3lat.mukai import NeronSeveriData
 from k3lat.twisted import (
-    TranscendentalModel,
+    TwistedMukaiLattice,
     _valuation,
     divisibility_nv,
     partner_disc,
-    twisted_disc_identity,
-    twisted_lattice,
     witness_sequence,
 )
 
 NS2 = NeronSeveriData(((2,),))
-T2 = TranscendentalModel(((-2,),))
 
 
 def test_twisted_lattice_gram():
-    twist = twisted_lattice(NS2, T2, 5)
+    twist = TwistedMukaiLattice(NS2, -2, 5)
     assert twist.lattice.gram == ((-2, -5, 0), (-5, 0, 0), (0, 0, 2))
     assert twist.lattice.disc_abs == 50
 
-    untwisted = twisted_lattice(NS2, T2, 1)
+    untwisted = TwistedMukaiLattice(NS2, -2, 1)
     assert untwisted.lattice.disc_abs == 2
 
-    assert twisted_lattice(NS2, T2, 3).lattice.det == -9 * 2
+    assert TwistedMukaiLattice(NS2, -2, 3).lattice.det == -9 * 2
 
 
 def test_twisted_disc_identity_examples():
-    lhs, rhs, equal = twisted_disc_identity(NS2, T2, 5)
-    assert (lhs, rhs, equal) == (50, 50, True)
-    assert twisted_disc_identity(NS2, T2, 1)[2]
     ns = NeronSeveriData(((2, 1), (1, 2)))
     for r in (1, 5, 7, 25):
-        assert twisted_disc_identity(ns, T2, r)[2]
+        assert TwistedMukaiLattice(ns, -2, r).lattice.disc_abs == r**2 * 3
+
+
+@pytest.mark.parametrize("gamma_square", [0, 2, -3])
+def test_twist_rejects_gamma_square(gamma_square):
+    with pytest.raises(LatticeError):
+        TwistedMukaiLattice(NS2, gamma_square, 5)
 
 
 def test_twisted_disc_identity_fuzz():
@@ -59,13 +59,14 @@ def test_twisted_disc_identity_fuzz():
         ns = NeronSeveriData(freeze(gram))
         ell = rng.choice([5, 7])
         n = rng.randint(1, 3)
-        trans = TranscendentalModel(((-gram[0][0],),))
-        assert twisted_disc_identity(ns, trans, ell**n)[2]
+        r = ell**n
+        twist = TwistedMukaiLattice(ns, -gram[0][0], r)
+        assert twist.lattice.disc_abs == r**2 * ns.lattice().disc_abs
         checked += 1
 
 
 def test_divisibility_nv():
-    twist = twisted_lattice(NS2, T2, 5)
+    twist = TwistedMukaiLattice(NS2, -2, 5)
     v1 = twist.vector(1, 0, (1,))
     assert divisibility_nv(twist, v1) == 1
 
@@ -77,7 +78,7 @@ def test_divisibility_nv():
 
 
 def test_partner_disc_examples():
-    twist = twisted_lattice(NS2, T2, 5)
+    twist = TwistedMukaiLattice(NS2, -2, 5)
     v1 = twist.vector(1, 0, (1,))
     report = partner_disc(twist, v1, ell=5)
     assert report.disc_quotient_abs == 50
@@ -85,14 +86,14 @@ def test_partner_disc_examples():
     assert report.identity_holds
     assert report.p_t_exponent == 0
 
-    twist2 = twisted_lattice(NS2, T2, 25)
+    twist2 = TwistedMukaiLattice(NS2, -2, 25)
     v2 = twist2.vector(1, 0, (1,))
     report2 = partner_disc(twist2, v2, ell=5)
     assert report2.ell_valuation == 4
     assert report2.identity_holds
 
     # r = 1, v = omega: the quotient is NS itself.
-    untwisted = twisted_lattice(NS2, T2, 1)
+    untwisted = TwistedMukaiLattice(NS2, -2, 1)
     omega = untwisted.vector(0, 1)
     report3 = partner_disc(untwisted, omega)
     assert report3.n_v == 1
@@ -135,25 +136,17 @@ def test_witness_sequence_valuation_growth():
 def test_witness_sequence_errors():
     with pytest.raises(NotPrimeError):
         witness_sequence(1, 4, 2)
-    with pytest.raises(LatticeError):
-        witness_sequence(
-            2,
-            5,
-            2,
-            ns=NS2,
-            trans=T2,
-            d_coeffs=(1,),
-        )  # gamma^2 = -2 but the sequence needs -4
-
-
-def test_witness_sequence_custom_model():
-    # Rank-2 NS with an off-diagonal entry; D = first basis vector.
-    ns = NeronSeveriData(((4, 1), (1, 6)))
-    trans = TranscendentalModel(((-4, 0), (0, -2)), gamma_index=0)
-    records = witness_sequence(2, 7, 3, ns=ns, trans=trans, d_coeffs=(1, 0))
-    assert [r.ell_valuation for r in records] == [2, 4, 6]
-    for rec in records:
-        assert rec.identities["partner_identity"]
+    with pytest.raises(LatticeError, match="d must be"):
+        witness_sequence(0, 5, 2)
+    with pytest.raises(LatticeError, match="e must be"):
+        witness_sequence(1, 5, 2, e=0)
+    # With every input bad, the checks fire in the order ell, n_max, d, e.
+    with pytest.raises(NotPrimeError):
+        witness_sequence(0, 4, 0, e=0)
+    with pytest.raises(LatticeError, match="n_max must be"):
+        witness_sequence(0, 5, 0, e=0)
+    with pytest.raises(LatticeError, match="d must be"):
+        witness_sequence(0, 5, 1, e=0)
 
 
 def test_valuation_matches_repeated_division():
