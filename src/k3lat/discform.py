@@ -2,11 +2,12 @@
 
 A discriminant form is presented by cyclic generators: a tuple of generator
 orders, the Q/2Z values of the quadratic form on the generators, and the
-Q/Z matrix of the bilinear form on generator pairs.  Elements are coordinate
-tuples reduced modulo the generator orders.
+Q/Z matrix of the bilinear form on generator pairs.  Every value lies in
+(1/N)Z for N the exponent of the group, and is held as its integer numerator
+over N.  Elements are coordinate tuples reduced modulo the generator orders.
 
 A subgroup is held by its relation lattice, its preimage in Z^k: order,
-membership, coordinates, orthogonal complements and glue quotients are integer
+membership, structure, orthogonal complements and glue quotients are integer
 linear algebra on that lattice.  Coordinates in a quotient of two relation
 lattices are read off one Smith form.  Maps between subgroups are checked on
 generators.  Nothing lists the elements of a group: `all_subgroups` enumerates
@@ -34,37 +35,34 @@ class DiscriminantForm:
     """Finite abelian group with a Q/2Z quadratic form and its Q/Z bilinear form.
 
     `orders` lists the orders of the cyclic generators (invariant factors for
-    forms coming from a lattice); `q` holds q(g_i) in [0, 2); `b` holds
-    b(g_i, g_j) in [0, 1).
+    forms coming from a lattice).  Every value lies in (1/N)Z for N = `level`,
+    the exponent of the group, and is held as its integer numerator over N:
+    `q[i]` is N*q(g_i) in [0, 2N) and `b[i][j]` is N*b(g_i, g_j) in [0, N).
     """
 
     orders: tuple[int, ...]
-    q: tuple[Fraction, ...]
-    b: tuple[tuple[Fraction, ...], ...]
+    q: tuple[int, ...]
+    b: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        orders = tuple(int(o) for o in self.orders)
-        q = tuple(Fraction(v) for v in self.q)
-        b = tuple(tuple(Fraction(v) for v in row) for row in self.b)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "b", b)
+        orders, q, b = self.orders, self.q, self.b
         k = len(orders)
         if len(q) != k or len(b) != k or any(len(row) != k for row in b):
             raise LatticeError("inconsistent generator data")
+        if any(o < 2 for o in orders):
+            raise LatticeError("generator orders must be at least 2")
+        n = self.level
         for i, o in enumerate(orders):
-            if o < 2:
-                raise LatticeError("generator orders must be at least 2")
-            if q[i] != q[i] % 2:
+            if q[i] != q[i] % (2 * n):
                 raise LatticeError("q values must be canonical representatives in [0, 2)")
-            if (o * q[i]).denominator != 1 or (o * o * q[i]) % 2 != 0:
+            if (o * q[i]) % n or (o * o * q[i]) % (2 * n):
                 raise LatticeError("q value is not well defined on a generator of this order")
-            if b[i][i] % 1 != q[i] % 1:
+            if (b[i][i] - q[i]) % n:
                 raise LatticeError("b(g, g) must agree with q(g) modulo 1")
             for j in range(k):
-                if b[i][j] != b[i][j] % 1 or b[i][j] != b[j][i]:
+                if b[i][j] != b[i][j] % n or b[i][j] != b[j][i]:
                     raise LatticeError("b must be a symmetric matrix of representatives in [0, 1)")
-                if (o * b[i][j]).denominator != 1:
+                if (o * b[i][j]) % n:
                     raise LatticeError("b value is not well defined on generators of these orders")
 
     @property
@@ -77,6 +75,11 @@ class DiscriminantForm:
         for o in self.orders:
             total *= o
         return total
+
+    @cached_property
+    def level(self) -> int:
+        """Exponent of the group: the common denominator of the form values."""
+        return lcm(*self.orders)
 
     def zero(self) -> Element:
         return (0,) * self.ngens
@@ -93,45 +96,45 @@ class DiscriminantForm:
     def element_order(self, x: Element) -> int:
         return lcm(*(o // gcd(c, o) for c, o in zip(self.reduce(x), self.orders)))
 
-    def q_of(self, x) -> Fraction:
-        """Value of the quadratic form, canonical representative in [0, 2)."""
+    def q_of(self, x) -> int:
+        """level * q(x), canonical representative in [0, 2 * level)."""
         x = self.reduce(x)
-        total = Fraction(0)
+        total = 0
         for i, xi in enumerate(x):
             if xi:
                 total += xi * xi * self.q[i]
                 for j in range(i + 1, self.ngens):
                     if x[j]:
                         total += 2 * xi * x[j] * self.b[i][j]
-        return total % 2
+        return total % (2 * self.level)
 
-    def b_of(self, x, y) -> Fraction:
-        """Value of the bilinear form, canonical representative in [0, 1)."""
+    def b_of(self, x, y) -> int:
+        """level * b(x, y), canonical representative in [0, level)."""
         x = self.reduce(x)
         y = self.reduce(y)
-        total = Fraction(0)
+        total = 0
         for i, xi in enumerate(x):
             if xi:
                 total += xi * sum(self.b[i][j] * yj for j, yj in enumerate(y) if yj)
-        return total % 1
+        return total % self.level
 
     def product_with_negated(self, other: "DiscriminantForm") -> "DiscriminantForm":
-        """The form q_self + (-q_other) on the direct sum, coordinates concatenated."""
-        orders = self.orders + other.orders
-        q = self.q + tuple(-v % 2 for v in other.q)
-        n, m = self.ngens, other.ngens
-        rows = []
-        for i in range(n):
-            rows.append(self.b[i] + (Fraction(0),) * m)
-        for i in range(m):
-            rows.append((Fraction(0),) * n + tuple(-v % 1 for v in other.b[i]))
-        return DiscriminantForm(orders, q, tuple(rows))
+        """The form q_self + (-q_other) on the direct sum, coordinates concatenated.
+
+        Its level is the lcm of the two levels, so each numerator is rescaled."""
+        n = lcm(self.level, other.level)
+        s, t = n // self.level, n // other.level
+        q = tuple(s * v for v in self.q) + tuple(-t * v % (2 * n) for v in other.q)
+        rows = [tuple(s * v for v in row) + (0,) * other.ngens for row in self.b]
+        for row in other.b:
+            rows.append((0,) * self.ngens + tuple(-t * v % n for v in row))
+        return DiscriminantForm(self.orders + other.orders, q, tuple(rows))
 
     def to_json_dict(self) -> dict:
         return {
             "orders": list(self.orders),
-            "q": [str(v) for v in self.q],
-            "b": [[str(v) for v in row] for row in self.b],
+            "q": [str(Fraction(v, self.level)) for v in self.q],
+            "b": [[str(Fraction(v, self.level)) for v in row] for row in self.b],
         }
 
 
@@ -143,14 +146,14 @@ class LatticeDiscriminantData:
     """Discriminant form of a lattice plus the change-of-coordinates data.
 
     A dual vector x is handled through its integer pairing vector z = G*x with
-    the lattice basis.  `level` is the exponent of the discriminant group, so
-    level*x is an integer vector for every dual x; `dual_gens[i]` is level
-    times a dual vector of the i-th generator.
+    the lattice basis.  With N = `form.level`, the exponent of the discriminant
+    group, N*x is an integer vector for every dual x; `dual_gens[i]` is N
+    times a dual vector of the i-th generator, and the form holds the
+    numerators N*q and N*b of the pairings of these dual vectors.
     """
 
     lattice: IntegralLattice
     form: DiscriminantForm
-    level: int
     dual_gens: tuple[mx.Vector, ...]
     _u: mx.Matrix
     _snf_diag: tuple[int, ...]
@@ -164,7 +167,7 @@ class LatticeDiscriminantData:
         return tuple(w[i] % self._snf_diag[i] for i in self._kept)
 
     def dual_representative(self, x: Element) -> mx.Vector:
-        """level times a dual-lattice vector representing the class x."""
+        """form.level times a dual-lattice vector representing the class x."""
         out = (0,) * self.lattice.rank
         for c, gen in zip(self.form.reduce(x), self.dual_gens, strict=True):
             if c:
@@ -181,29 +184,32 @@ def discriminant_data(lattice: IntegralLattice) -> LatticeDiscriminantData:
         raise LatticeError("discriminant form requires a nondegenerate lattice")
     n = lattice.rank
     if n == 0:
-        return LatticeDiscriminantData(lattice, TRIVIAL_FORM, 1, (), (), (), ())
+        return LatticeDiscriminantData(lattice, TRIVIAL_FORM, (), (), (), ())
     u, s, v = mx.smith_normal_form(lattice.gram)
     # Smith diagonal entries of a nondegenerate Gram are positive, and
-    # U*G*V = S gives G^-1 * U^-1 = V * S^-1: the dual vector of class e_i is
-    # column i of V divided by s_i, with pairing vector U^-1 * e_i.
+    # U*G*V = S gives G^-1 * U^-1 = V * S^-1: the dual vector x_i of class e_i
+    # is column i of V divided by s_i, with pairing vector G*x_i = U^-1 * e_i.
     diag = tuple(s[i][i] for i in range(n))
     kept = tuple(i for i in range(n) if diag[i] > 1)
     level = diag[-1]
     cols = [tuple(v[r][i] for r in range(n)) for i in kept]
     dual_gens = tuple(tuple(level // diag[i] * x for x in col) for i, col in zip(kept, cols))
-    gram_cols = [mx.mat_vec(lattice.gram, col) for col in cols]
+    # G*col_i = s_i * U^-1 * e_i, so the division is exact.
+    pairings = [
+        tuple(z // diag[i] for z in mx.mat_vec(lattice.gram, col)) for i, col in zip(kept, cols)
+    ]
 
-    def pair(i: int, j: int) -> Fraction:
-        dot = sum(a * b for a, b in zip(cols[i], gram_cols[j]))
-        return Fraction(dot, diag[kept[i]] * diag[kept[j]])
+    def pair(i: int, j: int) -> int:
+        """level * <x_i, x_j>."""
+        return sum(a * b for a, b in zip(dual_gens[i], pairings[j]))
 
     k = len(kept)
-    q = tuple(pair(i, i) % 2 for i in range(k))
-    b = tuple(tuple(pair(i, j) % 1 for j in range(k)) for i in range(k))
+    q = tuple(pair(i, i) % (2 * level) for i in range(k))
+    b = tuple(tuple(pair(i, j) % level for j in range(k)) for i in range(k))
     form = DiscriminantForm(tuple(diag[i] for i in kept), q, b)
     if form.order != lattice.disc_abs:
         raise InternalConsistencyError("discriminant group order does not match |det|")
-    return LatticeDiscriminantData(lattice, form, level, dual_gens, u, diag, kept)
+    return LatticeDiscriminantData(lattice, form, dual_gens, u, diag, kept)
 
 
 def discriminant_form(lattice: IntegralLattice) -> DiscriminantForm:
@@ -261,17 +267,16 @@ class FiniteSubgroup:
     def perp(self) -> "FiniteSubgroup":
         """Orthogonal complement {x : b(x, g) = 0 for every g in the subgroup}.
 
-        With N the exponent of the ambient group, N*b is an integer matrix and
-        x lies in the complement iff c_g . x = 0 mod N for every generator g,
-        where c_g = N*b*g.  The solutions are the first k coordinates of the
-        integer kernel of [C | N*I].
+        With N the level of the ambient form, x lies in the complement iff
+        c_g . x = 0 mod N for every generator g, where c_g = N*b*g is read off
+        the integer numerators of b.  The solutions are the first k coordinates
+        of the integer kernel of [C | N*I].
         """
         form = self.ambient
         k, r = form.ngens, len(self.gens)
         if r == 0:
             return FiniteSubgroup.full(form)
-        n = lcm(*form.orders)
-        nb = [[int(n * v) for v in row] for row in form.b]
+        n, nb = form.level, form.b
         rows = [
             [sum(nb[i][j] * g[j] for j in range(k)) for i in range(k)]
             + [n if t == s else 0 for t in range(r)]
@@ -295,13 +300,6 @@ class FiniteSubgroup:
     def structure_gens(self) -> tuple[Element, ...]:
         """Independent generators of orders `invariant_factors`."""
         return self._structure.lifts
-
-    def coordinates(self, x) -> tuple[int, ...]:
-        """The c with x = sum c_i * structure_gens[i], each c_i in [0, invariant_factors[i])."""
-        coords = self._structure.coordinates(self.ambient.reduce(x))
-        if coords is None:
-            raise LatticeError("element does not lie in the subgroup")
-        return coords
 
 
 def _relation_basis(orders: tuple[int, ...], gens) -> mx.Matrix:
@@ -406,11 +404,13 @@ class SubgroupMap:
     @cached_property
     def preserves_q(self) -> bool:
         """q agrees on each structure generator and b on each pair of them,
-        which makes q agree on every element."""
+        which makes q agree on every element.  The two forms may have different
+        levels, so their numerators are compared cross-multiplied."""
         src, dst = self.domain.ambient, self.codomain.ambient
+        m, n = src.level, dst.level
         pairs = tuple(zip(self.domain.structure_gens, self.images, strict=True))
-        return all(dst.q_of(h) == src.q_of(g) for g, h in pairs) and all(
-            dst.b_of(h1, h2) == src.b_of(g1, g2)
+        return all(dst.q_of(h) * m == src.q_of(g) * n for g, h in pairs) and all(
+            dst.b_of(h1, h2) * m == src.b_of(g1, g2) * n
             for (g1, h1), (g2, h2) in itertools.combinations(pairs, 2)
         )
 
@@ -478,8 +478,11 @@ def glue_perp_quotient(gamma: SubgroupMap) -> GlueQuotient:
         raise InternalConsistencyError("graph is not contained in its own perp")
     smith = _smith_quotient(product, perp._relations, graph._relations)
     reps = smith.lifts
-    q = tuple(product.q_of(r) for r in reps)
-    b = tuple(tuple(product.b_of(r1, r2) for r2 in reps) for r1 in reps)
+    # The quotient's exponent divides the product's, and its values lie in
+    # 1/(its exponent) Z, so rescaling the numerators down is exact.
+    scale = product.level // lcm(*smith.orders)
+    q = tuple(product.q_of(r) // scale for r in reps)
+    b = tuple(tuple(product.b_of(r1, r2) // scale for r2 in reps) for r1 in reps)
     return GlueQuotient(product, graph, perp, DiscriminantForm(smith.orders, q, b), reps, smith)
 
 

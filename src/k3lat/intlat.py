@@ -201,10 +201,7 @@ def index_of_sublattice(lattice: IntegralLattice, emb: SublatticeEmbedding) -> i
 
 
 def is_primitive_vector(x: Vector) -> bool:
-    g = 0
-    for c in x:
-        g = gcd(g, c)
-    return g == 1
+    return gcd(*x) == 1
 
 
 def quotient_by_isotropic(lattice: IntegralLattice, v: Vector) -> IntegralLattice:

@@ -76,10 +76,7 @@ class MukaiVector:
         return (self.a,) + self.d + (self.c,)
 
     def is_primitive(self) -> bool:
-        g = 0
-        for x in self.components():
-            g = gcd(g, x)
-        return g == 1
+        return is_primitive_vector(self.components())
 
     def scaled(self, n: int) -> "MukaiVector":
         return MukaiVector(n * self.a, tuple(n * x for x in self.d), n * self.c)

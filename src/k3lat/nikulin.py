@@ -62,15 +62,13 @@ def _check_source(source: IntegralLattice) -> None:
         raise LatticeError("source must be a rank-2 positive-definite lattice")
 
 
-def _matches_reference(q_val: Fraction, two_t: int) -> bool:
-    """True when some unit multiple lambda^2 * q_val hits 1/(2t)."""
-    target = Fraction(1, two_t)
-    for lam in range(1, two_t + 1):
-        if gcd(lam, two_t) != 1:
-            continue
-        if (lam * lam * q_val) % 2 == target:
-            return True
-    return False
+def _matches_reference(q_num: int, two_t: int) -> bool:
+    """True when some unit multiple lambda^2 * q hits 1/(2t), for q = q_num/(2t):
+    that is, lambda^2 * q_num = 1 mod 4t."""
+    return any(
+        gcd(lam, two_t) == 1 and lam * lam * q_num % (2 * two_t) == 1
+        for lam in range(1, two_t + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ class GluingData:
         amb = self.gamma.codomain.ambient
         if amb.ngens != 1 or amb.orders[0] % 2 != 0:
             raise LatticeError("ambient discriminant group must be cyclic of even order")
-        if amb.q[0] != Fraction(1, amb.orders[0]):
+        if amb.q[0] != 1:
             raise LatticeError("ambient form must be the standard one on Z/2n")
 
     @property
@@ -118,7 +116,8 @@ class GluingData:
         two_t = 2 * self.t
         two_n = 2 * self.ambient_n
         *rows, last = res.gamma_perp._relations
-        target = Fraction(1, two_t)
+        # q = 1/(2t) is the numerator level/(2t), which exists only when 2t divides the level.
+        level = res.product.level
         for x0 in itertools.product(*(range(o) for o in self.source_form.orders)):
             coeffs = _lattice_coordinates(rows, x0 + (0,))
             if coeffs is None:
@@ -129,7 +128,7 @@ class GluingData:
                 cls = res.project(elem)
                 if len(cls) != 1 or gcd(cls[0], two_t) != 1:
                     continue
-                if res.product.q_of(elem) == target:
+                if res.product.q_of(elem) * two_t == level:
                     return x0, (y if y >= 1 else two_n)
         raise InternalConsistencyError(
             "no quotient generator satisfies the q-normalization; glue data is inconsistent"
@@ -155,7 +154,8 @@ class GluingData:
             )
         if not _matches_reference(q.q[0], q.orders[0]):
             raise LatticeError(
-                f"glue quotient generator has q = {q.q[0]}, which never matches 1/{q.orders[0]}"
+                f"glue quotient generator has q = {Fraction(q.q[0], q.level)},"
+                f" which never matches 1/{q.orders[0]}"
             )
         return True
 
@@ -229,7 +229,7 @@ def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
 
     # A class of V with dual vector x goes to the class of M*x, whose pairing
     # vector is G_T*M*x = G_T*M*(level*x) / level.
-    level = src_data.level
+    level = src_data.form.level
     images = []
     for g in v_group.structure_gens:
         pushed = mx.mat_vec(pairings, src_data.dual_representative(g))
@@ -266,7 +266,7 @@ def extension_constants(glue: GluingData) -> ExtensionConstants:
     space has dimension 4, so the factorial bound (2n)! is 24.
     """
     d = glue.ambient_n
-    modulus = lcm(4 * d * glue.t, max(glue.source_form.order, 1))
+    modulus = lcm(4 * d * glue.t, glue.source_form.order)
     return ExtensionConstants(modulus, -d, glue.t)
 
 
@@ -336,7 +336,7 @@ def extend_glue(glue: GluingData, m: int) -> tuple[GluingData, ExtensionCertific
             f"extended glue has t = {extended.t}, expected t * m = {t * m}"
         )
 
-    # The certificate generator must land on q = 1/(2tm) after scaling by lambda.
+    # The certificate generator must land on q = 1/(2tm), numerator 1, after scaling by lambda.
     res = extended.quotient_result
     elem = x0 + (y0 % (2 * m * d),)
     cls = res.project(elem)
@@ -346,7 +346,7 @@ def extend_glue(glue: GluingData, m: int) -> tuple[GluingData, ExtensionCertific
             f"certificate element has order {order} in the new quotient, expected {2 * t * m}"
         )
     scaled = res.quotient.scale(lam, cls)
-    if res.quotient.q_of(scaled) != Fraction(1, 2 * t * m) % 2:
+    if res.quotient.q_of(scaled) != 1:
         raise InternalConsistencyError(
             "scaled generator does not have q = 1/(2tm); lambda congruence failed"
         )

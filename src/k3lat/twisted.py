@@ -74,11 +74,7 @@ def divisibility_nv(twist: TwistedMukaiLattice, v) -> int:
     v = tuple(v)
     if not any(v):
         raise LatticeError("divisibility of the zero vector is undefined")
-    pairings = mx.mat_vec(twist.lattice.gram, v)
-    g = 0
-    for p in pairings:
-        g = gcd(g, p)
-    return g
+    return gcd(*mx.mat_vec(twist.lattice.gram, v))
 
 
 @dataclass(frozen=True)

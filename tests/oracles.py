@@ -1,11 +1,13 @@
-"""Element listings, kept as oracles for the relation-lattice code.
+"""Element listings and rational arithmetic, kept as oracles for the package.
 
-The package never lists the elements of a group; these helpers do, on groups
-small enough for a test, and check its results by a second route.
+The package never lists the elements of a group, and holds form values as
+integer numerators; these helpers list elements, on groups small enough for a
+test, and compute values in Fractions, to check its results by a second route.
 """
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from k3lat.discform import FiniteSubgroup, SubgroupMap
@@ -33,6 +35,65 @@ def closure(form, gens):
 def subgroup_elements(sub):
     """Every element of a subgroup, sorted."""
     return tuple(sorted(closure(sub.ambient, sub.gens)))
+
+
+@cache
+def _coordinate_table(sub):
+    """Each sum c_i * structure_gens[i] over the box prod [0, invariant_factors[i]),
+    mapped to the first c that reaches it."""
+    form = sub.ambient
+    table = {}
+    for c in itertools.product(*(range(s) for s in sub.invariant_factors)):
+        total = form.zero()
+        for ci, g in zip(c, sub.structure_gens):
+            total = form.add(total, form.scale(ci, g))
+        table.setdefault(total, c)
+    return table
+
+
+def coordinates(sub, x):
+    """The first c in the box prod [0, invariant_factors[i]) with
+    x = sum c_i * structure_gens[i], by a scan of the box; None when there is none."""
+    return _coordinate_table(sub).get(sub.ambient.reduce(x))
+
+
+def solve_fraction(a, b):
+    """Unique rational solution of a*x = b for square nonsingular a, by
+    Gauss-Jordan elimination over Fractions."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(aug[i][n] for i in range(n))
+
+
+def dual_pairing(gram, z, w):
+    """<G^-1 z, G^-1 w> = z . G^-1 w, the pairing of the dual vectors whose
+    pairing vectors with the lattice basis are z and w."""
+    return sum(a * b for a, b in zip(z, solve_fraction(gram, w)))
+
+
+def value(form, numerator):
+    """A form value held as a numerator over the form's level, as a Fraction."""
+    return Fraction(numerator, form.level)
+
+
+def matches_reference(q_val, two_t):
+    """True when some unit multiple lambda^2 * q_val (a Fraction) hits 1/(2t)."""
+    target = Fraction(1, two_t)
+    for lam in range(1, two_t + 1):
+        if gcd(lam, two_t) != 1:
+            continue
+        if (lam * lam * q_val) % 2 == target:
+            return True
+    return False
 
 
 def all_subgroups(form):
@@ -81,6 +142,6 @@ def q_generator(glue):
         cls = res.project(elem)
         if len(cls) != 1 or gcd(cls[0], two_t) != 1:
             continue
-        if res.product.q_of(elem) == Fraction(1, two_t):
+        if value(res.product, res.product.q_of(elem)) == Fraction(1, two_t):
             return elem[:k], (elem[k] or 2 * glue.ambient_n)
     return None

@@ -27,7 +27,8 @@ def test_discriminant_form_rank_one():
     for n in (1, 2, 3, 5):
         a = discriminant_form(rank_one(2 * n))
         assert a.orders == (2 * n,)
-        assert a.q == (Fraction(1, 2 * n),)
+        assert a.level == 2 * n
+        assert a.q == (1,)
 
 
 def test_discriminant_form_hyperbolic_and_diag22():
@@ -35,7 +36,8 @@ def test_discriminant_form_hyperbolic_and_diag22():
 
     a = discriminant_form(IntegralLattice(((2, 0), (0, 2))))
     assert a.orders == (2, 2)
-    assert set(a.q) == {Fraction(1, 2)}
+    assert a.level == 2
+    assert set(a.q) == {1}
     assert a.b[0][1] == 0
 
 
@@ -48,9 +50,10 @@ def test_discriminant_form_errors():
 
 def test_q_value_examples():
     a = discriminant_form(rank_one(10))
-    assert a.q_of((1,)) == Fraction(1, 10)
+    # Numerators over the level 10: q(1) = 1/10, q(3) = 9/10.
+    assert a.q_of((1,)) == 1
     assert a.q_of((0,)) == 0
-    assert a.q_of((3,)) == Fraction(9, 10)
+    assert a.q_of((3,)) == 9
 
 
 def test_group_order_matches_det():
@@ -80,24 +83,25 @@ def test_polarization_identity_exhaustive():
         a = discriminant_form(lattice)
         assert a.order <= 200
         elems = oracles.elements(a)
+        two_n = 2 * a.level
         for x, y in itertools.product(elems, repeat=2):
-            lhs = (a.q_of(a.add(x, y)) - a.q_of(x) - a.q_of(y)) % 2
-            assert lhs == (2 * a.b_of(x, y)) % 2
+            lhs = (a.q_of(a.add(x, y)) - a.q_of(x) - a.q_of(y)) % two_n
+            assert lhs == (2 * a.b_of(x, y)) % two_n
 
 
 def _scaled_pairing(data, scaled):
     """Pairing vector G*x of the dual vector x = scaled / level; None when x is
     not in the dual lattice."""
     z = mx.mat_vec(data.lattice.gram, scaled)
-    if any(v % data.level for v in z):
+    if any(v % data.form.level for v in z):
         return None
-    return tuple(v // data.level for v in z)
+    return tuple(v // data.form.level for v in z)
 
 
 def test_class_of_and_dual_representative_roundtrip():
     lattice = IntegralLattice(((2, 0), (0, 8)))
     data = discriminant_data(lattice)
-    assert data.level == 8
+    assert data.form.level == 8
     for x in oracles.elements(data.form):
         rep = data.dual_representative(x)
         z = _scaled_pairing(data, rep)
@@ -142,18 +146,45 @@ def test_dual_gens_property():
         data = discriminant_data(lattice)
         form = data.form
         k = form.ngens
-        assert data.level == max(form.orders, default=1) == lcm(*form.orders)
+        assert form.level == max(form.orders, default=1) == lcm(*form.orders)
         for i, gen in enumerate(data.dual_gens):
             z = _scaled_pairing(data, gen)
             assert z is not None
-            assert all(form.orders[i] * x % data.level == 0 for x in gen)
+            assert all(form.orders[i] * x % form.level == 0 for x in gen)
             assert data.class_of(z) == tuple(1 if j == i else 0 for j in range(k))
             for j, other in enumerate(data.dual_gens):
                 value = Fraction(sum(a * b for a, b in zip(gen, mx.mat_vec(lattice.gram, other))))
-                value /= data.level**2
-                assert value % 1 == form.b[i][j]
+                value /= form.level**2
+                assert value % 1 == oracles.value(form, form.b[i][j])
                 if i == j:
-                    assert value % 2 == form.q[i]
+                    assert value % 2 == oracles.value(form, form.q[i])
+
+
+def test_form_values_match_dual_vector_oracle():
+    # q_of, b_of and product_with_negated against z . G^-1 . w in Fractions,
+    # for the dual vectors of random pairing vectors z and w, on pairs of
+    # lattices whose levels often differ.
+    rng = random.Random(23)
+    levels_differ = 0
+    for _ in range(40):
+        l1 = _random_even_lattice(rng)
+        l2 = _random_even_lattice(rng, max_rank=2, max_disc=24)
+        d1, d2 = discriminant_data(l1), discriminant_data(l2)
+        product = d1.form.product_with_negated(d2.form)
+        assert product.level == lcm(d1.form.level, d2.form.level)
+        levels_differ += d1.form.level != d2.form.level
+        for _ in range(5):
+            z1, w1 = ([rng.randint(-9, 9) for _ in range(l1.rank)] for _ in range(2))
+            z2, w2 = ([rng.randint(-9, 9) for _ in range(l2.rank)] for _ in range(2))
+            x1, y1 = d1.class_of(z1), d1.class_of(w1)
+            x2, y2 = d2.class_of(z2), d2.class_of(w2)
+            q1, q2 = oracles.dual_pairing(l1.gram, z1, z1), oracles.dual_pairing(l2.gram, z2, z2)
+            b1, b2 = oracles.dual_pairing(l1.gram, z1, w1), oracles.dual_pairing(l2.gram, z2, w2)
+            assert oracles.value(d1.form, d1.form.q_of(x1)) == q1 % 2
+            assert oracles.value(d1.form, d1.form.b_of(x1, y1)) == b1 % 1
+            assert oracles.value(product, product.q_of(x1 + x2)) == (q1 - q2) % 2
+            assert oracles.value(product, product.b_of(x1 + x2, y1 + y2)) == (b1 - b2) % 1
+    assert levels_differ > 10
 
 
 def test_element_order_matches_repeated_addition():
@@ -224,7 +255,7 @@ def test_subgroup_isometries_examples():
 
 def _apply(gamma, x):
     """gamma(x), from the coordinates of x in gamma's domain."""
-    return _combination(gamma.codomain.ambient, gamma.domain.coordinates(x), gamma.images)
+    return _combination(gamma.codomain.ambient, oracles.coordinates(gamma.domain, x), gamma.images)
 
 
 def test_subgroup_isometries_closed_under_automorphisms():
@@ -254,8 +285,8 @@ def test_subgroup_map_generator_checks():
     assert not SubgroupMap(v, w, ((1,), (2,))).is_bijective
 
     # q agrees on both generators of (Z/2)^2, b does not on the pair: q(e1 + e2) is 1 vs 0.
-    half = Fraction(1, 2)
-    tilted = DiscriminantForm((2, 2), (half, half), ((half, half), (half, half)))
+    # Numerators over the level 2: every value is 1/2.
+    tilted = DiscriminantForm((2, 2), (1, 1), ((1, 1), (1, 1)))
     v = FiniteSubgroup.full(discriminant_form(IntegralLattice(((2, 0), (0, 2)))))
     gamma = SubgroupMap(v, FiniteSubgroup.full(tilted), ((1, 0), (0, 1)))
     assert gamma.is_bijective
@@ -291,7 +322,10 @@ def test_subgroup_map_oracle():
             well_defined
             and image == set(w_elems)
             and len(image) == v.order
-            and all(b.q_of(y) == a.q_of(x) for x, y in graph.items())
+            and all(
+                oracles.value(b, b.q_of(y)) == oracles.value(a, a.q_of(x))
+                for x, y in graph.items()
+            )
         )
         assert (gamma.is_bijective and gamma.preserves_q) == expected
         seen.add(expected)
@@ -306,8 +340,9 @@ def test_glue_trivial():
     assert res.gamma.order == 1
     assert res.gamma_perp.order == a.order * b.order
     assert res.quotient.order == a.order * b.order
-    # q_src + (-q_amb) on the generators of the full product.
-    assert res.product.q == (Fraction(1, 2), Fraction(1, 2), Fraction(3, 2))
+    # q_src + (-q_amb) on the generators of the full product: 1/2, 1/2, 3/2.
+    assert res.product.level == 2
+    assert res.product.q == (1, 1, 3)
 
 
 def test_glue_diag22_into_degree2():
@@ -320,7 +355,7 @@ def test_glue_diag22_into_degree2():
     assert len(isos) == 1
     res = glue_perp_quotient(isos[0])
     assert res.quotient.orders == (2,)
-    assert res.quotient.q == (Fraction(1, 2),)
+    assert res.quotient.q == (1,)  # q = 1/2 over the level 2
 
 
 def _glue_cases():
@@ -352,7 +387,9 @@ def test_glue_project():
         assert res.project(x) == (0,)
     rep = res.reps[0]
     assert res.project(rep) == (1,)
-    assert res.quotient.q_of(res.project(rep)) == res.product.q_of(rep)
+    assert oracles.value(res.quotient, res.quotient.q_of(res.project(rep))) == oracles.value(
+        res.product, res.product.q_of(rep)
+    )
 
     # On every glue case, project is a surjective homomorphism with kernel gamma.
     for _, _, gamma in _glue_cases():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -41,23 +42,6 @@ def seed_embedding(d):
     return sublattice(lam, [(0, 1, 1), (1, 0, 0)])
 
 
-def _solve_fraction(a, b):
-    """Unique rational solution of a*x = b for square nonsingular a, by
-    Gauss-Jordan elimination over Fractions."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
-
-
 def _class_of_rational(data, x):
     """Class of a rational vector x of the dual lattice, via its pairing vector G*x."""
     z = [sum(Fraction(g) * v for g, v in zip(row, x)) for row in data.lattice.gram]
@@ -75,10 +59,10 @@ def _oracle_glue(emb, v_group):
     classes = []
     for i in range(3):
         e_i = tuple(1 if r == i else 0 for r in range(3))
-        classes.append(_class_of_rational(src_data, _solve_fraction(basis, e_i)[:2]))
+        classes.append(_class_of_rational(src_data, oracles.solve_fraction(basis, e_i)[:2]))
     images = []
     for g in v_group.structure_gens:
-        dual = [Fraction(v, src_data.level) for v in src_data.dual_representative(g)]
+        dual = [Fraction(v, src_data.form.level) for v in src_data.dual_representative(g)]
         pushed = [sum(emb.matrix[r][c] * dual[c] for c in range(2)) for r in range(3)]
         images.append(_class_of_rational(amb_data, pushed))
     return classes, tuple(images)
@@ -139,13 +123,31 @@ def test_embedding_to_glue_diag22():
     assert glue.gamma.codomain.order == 2
     glue.validate()
     # The quotient generator has q = lambda^2 / (2t) for a unit lambda: the
-    # positive normalization, not only +-1/(2t).
+    # positive normalization, not only +-1/(2t).  q[0] is its numerator over 2t.
     q = glue.quotient_result.quotient
     two_t = 2 * glue.t
     assert q.orders == (two_t,)
     assert q.q[0] in {
-        Fraction(lam * lam, two_t) % 2 for lam in range(1, two_t + 1) if gcd(lam, two_t) == 1
+        lam * lam % (2 * two_t) for lam in range(1, two_t + 1) if gcd(lam, two_t) == 1
     }
+
+
+def test_matches_reference_agrees_with_fraction_oracle():
+    # The integer test lambda^2 * a = 1 mod 4t against the Fraction test
+    # lambda^2 * (a/2t) = 1/(2t) mod 2, on every numerator a in [0, 4t) for
+    # t <= 40.  Both scan the units, so for 40 < t <= 300 only a = 1, a = 4t - 1
+    # (the value -1/(2t), never matched) and three seeded numerators are compared.
+    rng = random.Random(31)
+    for t in range(1, 301):
+        two_t = 2 * t
+        numerators = range(2 * two_t) if t <= 40 else {1, 2 * two_t - 1} | {
+            rng.randrange(2 * two_t) for _ in range(3)
+        }
+        for a in numerators:
+            expected = oracles.matches_reference(Fraction(a, two_t), two_t)
+            assert nikulin._matches_reference(a, two_t) == expected
+        assert nikulin._matches_reference(1, two_t)
+        assert not nikulin._matches_reference(2 * two_t - 1, two_t)
 
 
 def test_embedding_to_glue_general_degree_complement():
@@ -270,7 +272,7 @@ def test_glue_validity_rejects_negative_target():
     w = FiniteSubgroup.trivial(discriminant_form(rank_one(2)))
     glue = GluingData(SubgroupMap(trivial, w, ()))
     q = glue.quotient_result.quotient
-    assert (q.orders, q.q) == ((10,), (Fraction(19, 10),))
+    assert (q.orders, q.q) == ((10,), (19,))
     assert not glue.is_valid()
     with pytest.raises(LatticeError):
         glue.validate()
