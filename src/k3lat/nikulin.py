@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 
 from . import matrices as mx
 from .discform import (
     DiscriminantForm,
+    Element,
     FiniteSubgroup,
     GlueQuotient,
     SubgroupMap,
@@ -137,7 +138,7 @@ class GluingData:
     def is_valid(self) -> bool:
         try:
             self.validate()
-        except (LatticeError, InternalConsistencyError):
+        except LatticeError:
             return False
         return True
 
@@ -199,6 +200,10 @@ def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
     source glue; gamma pushes a class of V along M into the ambient
     discriminant group.  The t of the glue quotient is checked against the
     rank-1 orthogonal complement <-2t>.  No step leaves the integers.
+
+    Embeddings with the same V and images share one validated glue: V and the
+    glue are memoised per process, like `discriminant_data`, while every check
+    on the embedding itself runs on each call.
     """
     src = emb.source
     _check_source(src)
@@ -221,11 +226,7 @@ def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
     # orthogonal to the source, so this is the pairing vector of the source
     # component of e_i, whose class is a source glue generator.
     pairings = mx.mat_mul(target.gram, emb.matrix)
-    source_glue = FiniteSubgroup.generated_by(
-        src_data.form, [src_data.class_of(row) for row in pairings]
-    )
-
-    v_group = source_glue.perp()
+    v_group = _glue_domain(src_data.form, tuple(src_data.class_of(row) for row in pairings))
 
     # A class of V with dual vector x goes to the class of M*x, whose pairing
     # vector is G_T*M*x = G_T*M*(level*x) / level.
@@ -236,16 +237,35 @@ def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
         if any(z % level for z in pushed):
             raise LatticeError("vector does not lie in the dual lattice")
         images.append(amb_data.class_of(tuple(z // level for z in pushed)))
-    w_group = FiniteSubgroup.generated_by(amb_data.form, images)
-    gamma = SubgroupMap(v_group, w_group, tuple(images))
-    if not (gamma.is_bijective and gamma.preserves_q):
-        raise InternalConsistencyError("extracted gluing map is not a form isometry")
 
-    glue = GluingData(gamma)
+    glue = _glue_from_images(v_group, amb_data.form, tuple(images))
     if glue.t != norm // 2:
         raise InternalConsistencyError(
             f"glue quotient gives t = {glue.t}, but the complement has norm {-norm}"
         )
+    return glue
+
+
+@lru_cache(maxsize=None)
+def _glue_domain(
+    source_form: DiscriminantForm, glue_classes: tuple[Element, ...]
+) -> FiniteSubgroup:
+    """V, the orthogonal complement of the source glue these classes generate."""
+    return FiniteSubgroup.generated_by(source_form, glue_classes).perp()
+
+
+@lru_cache(maxsize=None)
+def _glue_from_images(
+    v_group: FiniteSubgroup, ambient_form: DiscriminantForm, images: tuple[Element, ...]
+) -> GluingData:
+    """The validated glue sending V's structure generators to `images`.  A
+    failed check raises and so is never cached."""
+    w_group = FiniteSubgroup.generated_by(ambient_form, images)
+    gamma = SubgroupMap(v_group, w_group, images)
+    if not (gamma.is_bijective and gamma.preserves_q):
+        raise InternalConsistencyError("extracted gluing map is not a form isometry")
+    glue = GluingData(gamma)
+    glue.validate()
     return glue
 
 

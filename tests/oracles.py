@@ -10,7 +10,9 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from k3lat.discform import FiniteSubgroup, SubgroupMap
+from k3lat import matrices as mx
+from k3lat.discform import FiniteSubgroup, SubgroupMap, discriminant_data
+from k3lat.nikulin import GluingData
 
 
 def elements(form):
@@ -145,3 +147,28 @@ def q_generator(glue):
         if value(res.product, res.product.q_of(elem)) == Fraction(1, two_t):
             return elem[:k], (elem[k] or 2 * glue.ambient_n)
     return None
+
+
+def extract_glue(emb):
+    """The glue of a primitive embedding into <2n> + U, extracted afresh with
+    nothing memoised: V is the perp of the source glue, then W, gamma and a
+    new `GluingData`."""
+    src_data = discriminant_data(emb.source)
+    amb_data = discriminant_data(emb.target)
+    pairings = mx.mat_mul(emb.target.gram, emb.matrix)
+    source_glue = FiniteSubgroup.generated_by(
+        src_data.form, [src_data.class_of(row) for row in pairings]
+    )
+    v_group = source_glue.perp()
+    level = src_data.form.level
+    images = []
+    for g in v_group.structure_gens:
+        pushed = mx.mat_vec(pairings, src_data.dual_representative(g))
+        assert not any(z % level for z in pushed)
+        images.append(amb_data.class_of(tuple(z // level for z in pushed)))
+    w_group = FiniteSubgroup.generated_by(amb_data.form, images)
+    gamma = SubgroupMap(v_group, w_group, tuple(images))
+    assert gamma.is_bijective and gamma.preserves_q
+    glue = GluingData(gamma)
+    glue.validate()
+    return glue

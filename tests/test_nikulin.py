@@ -9,7 +9,7 @@ import pytest
 from k3lat import matrices as mx
 from k3lat import nikulin
 from k3lat.cli import run
-from k3lat.errors import InadmissibleError, LatticeError
+from k3lat.errors import InadmissibleError, InternalConsistencyError, LatticeError
 from k3lat.intlat import (
     IntegralLattice,
     orthogonal_complement,
@@ -34,6 +34,25 @@ import oracles
 
 DIAG22 = IntegralLattice(((2, 0), (0, 2)))
 DIAG24 = IntegralLattice(((2, 0), (0, 4)))
+
+
+# The nikulin-roundtrip benchmark's sources, each with its three n.
+ROUNDTRIP_PAIRS = (
+    (((2, 0), (0, 2)), (5, 6, 10)),
+    (((2, 0), (0, 4)), (4, 5, 8)),
+    (((2, 0), (0, 6)), (3, 6, 9)),
+    (((2, 0), (0, 8)), (6, 7, 12)),
+    (((2, 1), (1, 2)), (1, 2, 5)),
+    (((2, 1), (1, 4)), (1, 3, 11)),
+    (((2, 1), (1, 6)), (4, 5, 12)),
+    (((2, 1), (1, 8)), (8, 9, 11)),
+    (((4, 2), (2, 4)), (1, 9, 10)),
+)
+
+
+def _clear_glue_caches():
+    nikulin._glue_domain.cache_clear()
+    nikulin._glue_from_images.cache_clear()
 
 
 def seed_embedding(d):
@@ -102,7 +121,9 @@ def test_glue_extraction_matches_rational_oracle_on_brute_force():
 
 @pytest.mark.parametrize("command", ["embed", "zarhin"])
 def test_each_glue_validated_once(monkeypatch, command):
-    # The seed glue (2t = 2) and the extended glue (2t = 2554) are each checked once.
+    # The seed glue (2t = 2) and the extended glue (2t = 2554) are each checked
+    # once; earlier tests may have memoised the seed glue, so start afresh.
+    _clear_glue_caches()
     calls = []
     real = nikulin._matches_reference
 
@@ -114,6 +135,39 @@ def test_each_glue_validated_once(monkeypatch, command):
     code, _ = run([command, "--d", "1", "--m", "1277"])
     assert code == 0
     assert calls == [2, 2554]
+
+
+def test_memoised_extraction_matches_uncached_oracle():
+    # Every brute-force embedding of the benchmark pairs, in the bases (e1, e2),
+    # (e2, e1), (e1, -e2) and (e2, -e1): the memoised glue equals a fresh one.
+    checked = 0
+    for ((a, b), (_, c)), ns in ROUNDTRIP_PAIRS:
+        orientations = (((a, b), (b, c)), ((c, b), (b, a)), ((a, -b), (-b, c)), ((c, -b), (-b, a)))
+        for gram in orientations:
+            source = IntegralLattice(gram)
+            for n in ns:
+                for emb in brute_force_embeddings(source, n, 12):
+                    glue, fresh = embedding_to_glue(emb), oracles.extract_glue(emb)
+                    assert glue.to_json_dict() == fresh.to_json_dict()
+                    assert glue._q_generator == fresh._q_generator
+                    checked += 1
+    assert checked > 2000
+
+
+def test_embeddings_with_one_glue_build_one_quotient(monkeypatch):
+    calls = []
+    real = nikulin.glue_perp_quotient
+
+    def counting(gamma):
+        calls.append(gamma)
+        return real(gamma)
+
+    monkeypatch.setattr(nikulin, "glue_perp_quotient", counting)
+    _clear_glue_caches()
+    embeddings = brute_force_embeddings(IntegralLattice(((2, 1), (1, 2))), 1, 12)
+    assert len(embeddings) == 200
+    assert {embedding_to_glue(emb).t for emb in embeddings} == {3}
+    assert len(calls) == 1
 
 
 def test_embedding_to_glue_diag22():
@@ -163,12 +217,21 @@ def test_embedding_to_glue_general_degree_complement():
 def test_embedding_to_glue_errors():
     lam2 = polarization_lattice(1)
     non_primitive = sublattice(lam2, [(0, 2, 2), (1, 0, 0)])
-    with pytest.raises(LatticeError):
-        embedding_to_glue(non_primitive)
     # Wrong signature: a rank-2 sublattice that is not positive definite.
     indefinite = sublattice(lam2, [(0, 1, 0), (0, 0, 1)])
-    with pytest.raises(LatticeError):
-        embedding_to_glue(indefinite)
+    # A failure is not memoised: the second call raises as the first did.
+    for emb in (non_primitive, non_primitive, indefinite, indefinite):
+        with pytest.raises(LatticeError):
+            embedding_to_glue(emb)
+
+
+def test_non_isometric_images_raise_on_every_call():
+    # (1, 0) has q = 1/2 in diag(2, 4), but its image 2 in Z/4 has q = 1 mod 2.
+    v = FiniteSubgroup.generated_by(discriminant_form(DIAG24), [(1, 0)])
+    ambient = discriminant_form(polarization_lattice(2))
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError):
+            nikulin._glue_from_images(v, ambient, ((2,),))
 
 
 def test_extension_constants():
@@ -294,6 +357,17 @@ def test_glue_t_needs_a_cyclic_quotient():
 def test_enumerate_valid_glues_rejects_non_positive_definite_source(gram):
     with pytest.raises(LatticeError, match="rank-2 positive-definite"):
         enumerate_valid_glues(IntegralLattice(gram), 1)
+
+
+def test_enumerate_valid_glues_lets_internal_errors_through(monkeypatch):
+    # An invalid glue is a LatticeError; an inconsistent quotient is a bug and
+    # must not be dropped as one more invalid candidate.
+    def broken(gamma):
+        raise InternalConsistencyError("graph of gamma is not isotropic")
+
+    monkeypatch.setattr(nikulin, "glue_perp_quotient", broken)
+    with pytest.raises(InternalConsistencyError):
+        enumerate_valid_glues(DIAG22, 1)
 
 
 def test_enumerate_valid_glues_past_enumeration_limit():
