@@ -207,27 +207,25 @@ def is_primitive_vector(x: Vector) -> bool:
 def quotient_by_isotropic(lattice: IntegralLattice, v: Vector) -> IntegralLattice:
     """The lattice v_perp / Z*v with its induced form, for primitive isotropic v.
 
-    The quotient basis comes from a Hermite-normal-form completion of v inside
-    the saturated v_perp, so the output is deterministic; its Gram matrix is
-    well defined because v pairs to zero with all of v_perp.
+    v is completed to a unimodular basis T (T*e1 = v), in which the Gram
+    matrix G' = T^t G T has G'[0][0] = v.v = 0.  So v_perp is Z*e1 plus the
+    integer kernel K of the single row G'[0][1:] on the other coordinates,
+    and v_perp / Z*v is K with the Gram matrix K^t G'[1:, 1:] K.  Both T and
+    the canonical kernel basis are deterministic, so the output is too.
     """
     v = tuple(v)
     if not is_primitive_vector(v):
         raise NotIsotropicError("vector must be primitive in the lattice")
     if lattice.norm(v) != 0:
         raise NotIsotropicError("vector must be isotropic")
-    perp = orthogonal_complement(lattice, [v])
-    coords = mx.solve_integer(perp.matrix, v)
-    if coords is None:
-        raise NotIsotropicError("isotropic vector does not lie in its own complement")
-    t = mx.complete_primitive_column(coords)
-    # Drop the first column (v itself); the rest projects to a quotient basis.
-    rest = mx.mat_mul(perp.matrix, t)
-    cols = [
-        tuple(rest[i][j] for i in range(lattice.rank))
-        for j in range(1, perp.source.rank)
-    ]
-    gram = tuple(tuple(lattice.pairing(x, y) for y in cols) for x in cols)
+    if not lattice.is_nondegenerate:
+        raise LatticeError("orthogonal complement requires a nondegenerate lattice")
+    t = mx.complete_primitive_column(v)
+    g = mx.mat_mul(mx.mat_mul(mx.transpose(t), lattice.gram), t)
+    rest = IntegralLattice(tuple(row[1:] for row in g[1:]))
+    kernel = mx.kernel_basis((g[0][1:],))
+    cols = mx.transpose(kernel)
+    gram = tuple(tuple(rest.pairing(x, y) for y in cols) for x in cols)
     return IntegralLattice(gram)
 
 

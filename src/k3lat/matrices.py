@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith and Hermite normal forms, kernels, solves, det.
+"""Exact integer linear algebra: Smith and Hermite normal forms, kernels, det.
 
 All matrices are row-major tuples of tuples of Python ints (arbitrary
 precision), so nothing here can overflow or round.
@@ -235,26 +235,6 @@ def kernel_basis(m: Matrix) -> Matrix:
     if not gens:
         return tuple(() for _ in range(cols))
     return transpose(hermite_row_form(freeze(gens)))
-
-
-def solve_integer(a: Matrix, b: Vector) -> Vector | None:
-    """One integer solution x of a*x = b, or None when unsolvable."""
-    rows, cols = shape(a)
-    if len(b) != rows:
-        raise ValueError("dimension mismatch in solve_integer")
-    u, s, v = smith_normal_form(a)
-    c = mat_vec(u, b)
-    y = [0] * cols
-    for i in range(rows):
-        d = s[i][i] if i < min(rows, cols) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return mat_vec(v, tuple(y))
 
 
 def complete_primitive_column(c: Vector) -> Matrix:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
 
 from . import matrices as mx
@@ -54,6 +55,10 @@ class NeronSeveriData:
         return len(self.gram)
 
     def lattice(self) -> IntegralLattice:
+        return self._lattice
+
+    @cached_property
+    def _lattice(self) -> IntegralLattice:
         return IntegralLattice(self.gram)
 
 

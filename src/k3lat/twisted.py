@@ -220,11 +220,12 @@ def witness_sequence(d: int, ell: int, n_max: int, e: int | None = None) -> list
         twist = TwistedMukaiLattice(ns, -2 * d, r)
         v_n = twist.vector(1, 0, d_coeffs)
         h_n = twist.vector(ell**n, -2 * d)
+        h_sq = twist.norm(h_n)
         identities = {
             "v_sq_zero": twist.norm(v_n) == 0,
             "h_dot_v_zero": twist.pairing(h_n, v_n) == 0,
-            "h_sq": twist.norm(h_n),
-            "h_sq_expected": twist.norm(h_n) == 2 * d * ell ** (2 * n),
+            "h_sq": h_sq,
+            "h_sq_expected": h_sq == 2 * d * ell ** (2 * n),
         }
         b_n = None
         if e is not None:

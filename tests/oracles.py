@@ -1,8 +1,11 @@
-"""Element listings and rational arithmetic, kept as oracles for the package.
+"""Element listings, rational arithmetic and older lattice routes, kept as
+oracles for the package.
 
 The package never lists the elements of a group, and holds form values as
 integer numerators; these helpers list elements, on groups small enough for a
 test, and compute values in Fractions, to check its results by a second route.
+The isotropic quotient is also built here the long way, through the saturated
+orthogonal complement and an integer solve by Smith normal form.
 """
 
 import itertools
@@ -12,6 +15,7 @@ from math import gcd
 
 from k3lat import matrices as mx
 from k3lat.discform import FiniteSubgroup, SubgroupMap, discriminant_data
+from k3lat.intlat import IntegralLattice, orthogonal_complement
 from k3lat.nikulin import GluingData
 
 
@@ -74,6 +78,45 @@ def solve_fraction(a, b):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return tuple(aug[i][n] for i in range(n))
+
+
+def solve_integer(a, b):
+    """One integer solution x of a*x = b, or None when unsolvable, read off
+    the Smith normal form U*a*V = S."""
+    rows, cols = mx.shape(a)
+    if len(b) != rows:
+        raise ValueError("dimension mismatch in solve_integer")
+    u, s, v = mx.smith_normal_form(a)
+    c = mx.mat_vec(u, b)
+    y = [0] * cols
+    for i in range(rows):
+        d = s[i][i] if i < min(rows, cols) else 0
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d != 0:
+                return None
+            y[i] = c[i] // d
+    return mx.mat_vec(v, tuple(y))
+
+
+def quotient_by_isotropic_hnf(lattice, v):
+    """v_perp / Z*v for primitive isotropic v in a nondegenerate lattice, by
+    the saturated complement: solve for v in the complement's basis, complete
+    those coordinates to a unimodular basis of it and drop the first column."""
+    v = tuple(v)
+    assert gcd(*v) == 1 and lattice.norm(v) == 0
+    perp = orthogonal_complement(lattice, [v])
+    coords = solve_integer(perp.matrix, v)
+    assert coords is not None
+    t = mx.complete_primitive_column(coords)
+    rest = mx.mat_mul(perp.matrix, t)
+    cols = [
+        tuple(rest[i][j] for i in range(lattice.rank))
+        for j in range(1, perp.source.rank)
+    ]
+    return IntegralLattice(tuple(tuple(lattice.pairing(x, y) for y in cols) for x in cols))
 
 
 def dual_pairing(gram, z, w):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd, isqrt
 
 import pytest
 
@@ -21,6 +22,10 @@ from k3lat.intlat import (
     saturation,
     sublattice,
 )
+from k3lat.mukai import NeronSeveriData
+from k3lat.twisted import TwistedMukaiLattice, partner_disc, witness_sequence
+
+import oracles
 
 
 def test_lattice_basics():
@@ -118,6 +123,78 @@ def test_quotient_by_isotropic_examples():
         quotient_by_isotropic(u, (2, 0))
     with pytest.raises(NotIsotropicError):
         quotient_by_isotropic(u, (1, 1))
+
+
+def test_quotient_by_isotropic_errors():
+    u = hyperbolic_plane()
+    with pytest.raises(NotIsotropicError, match="primitive"):
+        quotient_by_isotropic(u, (0, 3))
+    with pytest.raises(NotIsotropicError, match="isotropic"):
+        quotient_by_isotropic(u, (1, 1))
+    degenerate = IntegralLattice(((0, 0), (0, 2)))
+    with pytest.raises(LatticeError, match="nondegenerate") as info:
+        quotient_by_isotropic(degenerate, (1, 0))
+    assert info.type is LatticeError
+    # Each check runs in turn: primitive, isotropic, nondegenerate.
+    with pytest.raises(NotIsotropicError, match="primitive"):
+        quotient_by_isotropic(u, (2, 2))
+    with pytest.raises(NotIsotropicError, match="isotropic"):
+        quotient_by_isotropic(degenerate, (0, 1))
+    with pytest.raises(NotIsotropicError, match="primitive"):
+        quotient_by_isotropic(degenerate, (2, 0))
+
+
+def test_quotient_matches_hnf_oracle():
+    """Completion and one-row kernel against the saturated-complement route,
+    on random even nondegenerate lattices with an isotropic v from a box."""
+    rng = random.Random(24)
+    cases = non_unit = 0
+    while cases < 320:
+        rank = rng.randint(2, 6)
+        scale = rng.choice((1, 1, 2, 3))
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i + 1):
+                val = 2 * rng.randint(-2, 2) if i == j else rng.randint(-3, 3)
+                gram[i][j] = gram[j][i] = scale * val
+        lattice = IntegralLattice(mx.freeze(gram))
+        if not lattice.is_nondegenerate:
+            continue
+        box = enumerate_vectors(lattice, 0, 1 if rank == 6 else 2)
+        found = [x for x in box if gcd(*x) == 1]
+        if not found:
+            continue
+        v = rng.choice(found)
+        q = quotient_by_isotropic(lattice, v)
+        expected = oracles.quotient_by_isotropic_hnf(lattice, v)
+        assert q.rank == expected.rank == rank - 2
+        assert q.det == expected.det
+        assert q.is_even == expected.is_even
+        if q.rank <= 1:
+            assert q.gram == expected.gram
+        non_unit += gcd(*mx.mat_vec(lattice.gram, v)) > 1
+        cases += 1
+    assert non_unit >= 50
+
+
+@pytest.mark.parametrize("d, ell, e", [(1, 5, None), (3, 7, 2), (6, 997, None), (2, 101, 4)])
+def test_witness_quotients_match_hnf_oracle(d, ell, e):
+    ns = NeronSeveriData(((2 * d,),) if e is None else ((2 * d, 0), (0, 2 * e)))
+    for rec in witness_sequence(d, ell, 40, e):
+        twist = TwistedMukaiLattice(ns, -2 * d, rec.r)
+        report = partner_disc(twist, rec.v_n, ell)
+        expected = oracles.quotient_by_isotropic_hnf(twist.lattice, rec.v_n)
+        n_v_sq, rem = divmod(rec.r**2 * ns.lattice().disc_abs, expected.disc_abs)
+        n_v = isqrt(n_v_sq)
+        assert rem == 0 and n_v * n_v == n_v_sq
+        val, rest = 0, expected.disc_abs
+        while rest % ell == 0:
+            rest //= ell
+            val += 1
+        assert report.disc_quotient == expected.det
+        assert rec.partner_disc_abs == expected.disc_abs
+        assert rec.n_v == report.n_v == n_v
+        assert rec.ell_valuation == report.ell_valuation == val
 
 
 def test_quotient_determinant_basis_independent():
