@@ -7,10 +7,10 @@ as the columns of an integer matrix over the target basis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt
+from operator import mul
 
 from . import matrices as mx
 from .errors import (
@@ -59,12 +59,7 @@ class IntegralLattice:
     def pairing(self, x: Vector, y: Vector) -> int:
         if len(x) != self.rank or len(y) != self.rank:
             raise RankMismatchError("vector length does not match lattice rank")
-        total = 0
-        for i, row in enumerate(self.gram):
-            xi = x[i]
-            if xi:
-                total += xi * sum(r * y[j] for j, r in enumerate(row) if y[j])
-        return total
+        return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, self.gram) if xi)
 
     def norm(self, x: Vector) -> int:
         return self.pairing(x, x)
@@ -181,6 +176,9 @@ def saturation(emb: SublatticeEmbedding) -> SublatticeEmbedding:
         return emb
     # The saturation is the double annihilator of the column span.
     left = mx.kernel_basis(mx.transpose(emb.matrix))
+    if not left[0]:
+        # Full rank: nothing annihilates the span, so it saturates to the target.
+        return sublattice(emb.target, mx.identity(emb.target.rank))
     constraints = mx.transpose(left)
     basis = mx.kernel_basis(constraints)
     _, dim = mx.shape(basis)
@@ -239,7 +237,11 @@ def enumerate_vectors(
     lexicographic order over the box.  Only the (2B+1)^(r-1) prefixes of the
     first r-1 coordinates are scanned, for B = coeff_bound and r the rank:
     with a prefix fixed the norm is a quadratic in the last coordinate, whose
-    integer roots in the box are solved for rather than searched.
+    integer roots in the box are solved for rather than searched.  The
+    prefixes are walked in lexicographic order with running sums: fixing one
+    more coordinate t updates the prefix's norm and its pairings G*h with the
+    coordinates still free by t times one Gram row, instead of summing the
+    O(r^2) terms afresh at each prefix.
     """
     if coeff_bound < 1:
         raise LatticeError("coefficient bound must be at least 1")
@@ -249,19 +251,31 @@ def enumerate_vectors(
     last = n - 1
     gram = lattice.gram
     a = gram[last][last]
-    coupling = gram[last][:last]
-    out = []
+    if last == 0:
+        return [(z,) for z in _box_roots(a, 0, -norm, coeff_bound)]
     rng = range(-coeff_bound, coeff_bound + 1)
-    for h in itertools.product(rng, repeat=last):
-        head = 0
-        for i in range(last):
-            hi = h[i]
-            if hi:
-                row = gram[i]
-                head += hi * sum(row[j] * h[j] for j in range(last) if h[j])
-        l = sum(g * hj for g, hj in zip(coupling, h))
-        for z in _box_roots(a, l, head - norm, coeff_bound):
-            out.append(h + (z,))
+    out = []
+
+    def walk(prefix: Vector, head: int, partial: list[int]) -> None:
+        # head = h^t G h for the fixed prefix h; partial[j] = (G h)[k + j] for
+        # the coordinates k = len(prefix), ..., last that are still free.
+        k = len(prefix)
+        row = gram[k]
+        diag, p = row[k], partial[0]
+        if k == last - 1:
+            # The last prefix coordinate: solve for z at each t directly.
+            l0, coupling = partial[1], row[last]
+            for t in rng:
+                for z in _box_roots(a, l0 + t * coupling, head + t * (2 * p + t * diag) - norm,
+                                    coeff_bound):
+                    out.append(prefix + (t, z))
+            return
+        rest, tail = row[k + 1:], partial[1:]
+        for t in rng:
+            walk(prefix + (t,), head + t * (2 * p + t * diag),
+                 [x + t * g for x, g in zip(tail, rest)])
+
+    walk((), 0, [0] * n)
     return out
 
 

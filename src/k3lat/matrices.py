@@ -7,6 +7,7 @@ precision), so nothing here can overflow or round.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -25,8 +26,7 @@ def shape(m: Matrix) -> tuple[int, int]:
 
 
 def transpose(m: Matrix) -> Matrix:
-    rows, cols = shape(m)
-    return tuple(tuple(m[i][j] for i in range(rows)) for j in range(cols))
+    return tuple(zip(*m))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -34,17 +34,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb))
-        for i in range(ra)
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     ra, ca = shape(a)
     if ca != len(v):
         raise ValueError(f"cannot apply {ra}x{ca} to vector of length {len(v)}")
-    return tuple(sum(a[i][k] * v[k] for k in range(ca)) for i in range(ra))
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def is_symmetric(m: Matrix) -> bool:
@@ -87,34 +85,57 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     Pivot selection is by minimal absolute value, then row, then column, so
     the output is deterministic.
     """
+    u, s, v = _smith_elimination(m, True)
+    return freeze(u), freeze(s), freeze(v)
+
+
+def smith_invariants(m: Matrix) -> tuple[int, ...]:
+    """Nonzero diagonal entries of the Smith normal form of m.
+
+    Runs the same elimination as `smith_normal_form` but builds no U or V;
+    the invariants are unique, so they equal its diagonal.
+    """
+    _, s, _ = _smith_elimination(m, False)
+    n = min(shape(m))
+    return tuple(s[i][i] for i in range(n) if s[i][i] != 0)
+
+
+def _smith_elimination(m: Matrix, transforms: bool):
+    """The Smith elimination of m on lists: (U, S, V), with U and V None when
+    `transforms` is false, so that each step touches only S."""
     rows, cols = shape(m)
     a = [list(row) for row in m]
-    u = [list(row) for row in identity(rows)]
-    v = [list(row) for row in identity(cols)]
+    u = [list(row) for row in identity(rows)] if transforms else None
+    v = [list(row) for row in identity(cols)] if transforms else None
 
     def row_sub(i: int, k: int, q: int) -> None:
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        if u is not None:
+            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
 
     def col_sub(j: int, k: int, q: int) -> None:
-        for r in range(rows):
-            a[r][j] -= q * a[r][k]
-        for r in range(cols):
-            v[r][j] -= q * v[r][k]
+        for row in a:
+            row[j] -= q * row[k]
+        if v is not None:
+            for row in v:
+                row[j] -= q * row[k]
 
     def row_swap(i: int, k: int) -> None:
         a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
+        if u is not None:
+            u[i], u[k] = u[k], u[i]
 
     def col_swap(j: int, k: int) -> None:
-        for r in range(rows):
-            a[r][j], a[r][k] = a[r][k], a[r][j]
-        for r in range(cols):
-            v[r][j], v[r][k] = v[r][k], v[r][j]
+        for row in a:
+            row[j], row[k] = row[k], row[j]
+        if v is not None:
+            for row in v:
+                row[j], row[k] = row[k], row[j]
 
     def row_neg(i: int) -> None:
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     t = 0
     while t < rows and t < cols:
@@ -165,14 +186,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 break
             row_sub(t, offender, -1)
         t += 1
-    return freeze(u), freeze(a), freeze(v)
-
-
-def smith_invariants(m: Matrix) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith normal form of m."""
-    _, s, _ = smith_normal_form(m)
-    n = min(shape(s))
-    return tuple(s[i][i] for i in range(n) if s[i][i] != 0)
+    return u, a, v
 
 
 def rank(m: Matrix) -> int:
@@ -224,17 +238,19 @@ def hermite_row_form(m: Matrix) -> Matrix:
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns form a canonical basis of the integer kernel {x : m*x = 0}.
 
-    The kernel of an integer matrix is automatically saturated.  Returns an
+    One Hermite form of the augmented matrix [m^t | I]: its rows are
+    [x^t m^t | x^t] for x running over a basis of Z^cols, so the rows whose
+    first `rows` entries vanish carry a basis of the kernel in their tails,
+    and these tails are already the canonical row HNF of that basis.  The
+    kernel of an integer matrix is automatically saturated.  Returns an
     n x k matrix (k = nullity); n x 0 is represented by n empty rows.
     """
     rows, cols = shape(m)
-    _, s, v = smith_normal_form(m)
-    nonzero = min(rows, cols)
-    free = [j for j in range(cols) if j >= nonzero or s[j][j] == 0]
-    gens = [tuple(v[i][j] for i in range(cols)) for j in free]
+    augmented = tuple(col + unit for col, unit in zip(transpose(m), identity(cols)))
+    gens = [row[rows:] for row in hermite_row_form(augmented) if not any(row[:rows])]
     if not gens:
         return tuple(() for _ in range(cols))
-    return transpose(hermite_row_form(freeze(gens)))
+    return transpose(gens)
 
 
 def complete_primitive_column(c: Vector) -> Matrix:

@@ -5,7 +5,8 @@ The package never lists the elements of a group, and holds form values as
 integer numerators; these helpers list elements, on groups small enough for a
 test, and compute values in Fractions, to check its results by a second route.
 The isotropic quotient is also built here the long way, through the saturated
-orthogonal complement and an integer solve by Smith normal form.
+orthogonal complement and an integer solve by Smith normal form, and the
+integer kernel through the transform V of a Smith normal form.
 """
 
 import itertools
@@ -99,6 +100,20 @@ def solve_integer(a, b):
                 return None
             y[i] = c[i] // d
     return mx.mat_vec(v, tuple(y))
+
+
+def kernel_basis_smith(m):
+    """Canonical kernel basis (as columns) read off the Smith normal form
+    U*m*V = S: the columns of V past the nonzero diagonal span the kernel,
+    and their row HNF makes the basis canonical."""
+    rows, cols = mx.shape(m)
+    _, s, v = mx.smith_normal_form(m)
+    nonzero = min(rows, cols)
+    free = [j for j in range(cols) if j >= nonzero or s[j][j] == 0]
+    gens = [tuple(v[i][j] for i in range(cols)) for j in free]
+    if not gens:
+        return tuple(() for _ in range(cols))
+    return mx.transpose(mx.hermite_row_form(mx.freeze(gens)))
 
 
 def quotient_by_isotropic_hnf(lattice, v):

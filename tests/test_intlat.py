@@ -89,6 +89,15 @@ def test_saturation():
     assert s2.columns() == [(1, 0, 0), (0, 1, 0)]
     assert saturation(s2) is s2
 
+    # Full rank: no vector annihilates the span, so it saturates to the target.
+    a2 = IntegralLattice(((2, 1), (1, 2)))
+    s3 = saturation(sublattice(a2, [(2, 0), (0, 2)]))
+    assert s3.matrix == mx.identity(2)
+    assert s3.source == a2
+    s4 = saturation(sublattice(lam2, [(2, 0, 0), (0, 1, 1), (0, 0, 3)]))
+    assert s4.matrix == mx.identity(3)
+    assert s4.source == lam2
+
 
 def test_index_of_sublattice():
     # Zv + v_perp inside N(X) for NS = [[2]], v = (1, 0, -1) in Mukai coords.

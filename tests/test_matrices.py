@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
@@ -134,6 +135,59 @@ def test_kernel_basis():
         for j in range(dim):
             vec = tuple(k[i][j] for i in range(cols))
             assert mx.mat_vec(m, vec) == tuple(0 for _ in range(rows))
+        # The basis is canonical (its transpose is its own row HNF) and
+        # saturated (every Smith invariant is 1).
+        assert mx.hermite_row_form(mx.transpose(k)) == mx.transpose(k)
+        assert mx.smith_invariants(k) == (1,) * dim
+
+
+@cache
+def small_matrices():
+    """2000 seeded random matrices of 1-5 rows and 1-5 columns with entries in
+    [-9, 9], about a third of them sparse, then the zero matrix of each shape."""
+    rng = random.Random(11)
+    out = []
+    for _ in range(2000):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        density = rng.choice((0.3, 1.0, 1.0))
+        out.append(mx.freeze(
+            [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        ))
+    out += [mx.freeze([[0] * c for _ in range(r)]) for r in range(1, 6) for c in range(1, 6)]
+    return out
+
+
+def wide_rows():
+    """1 x k rows, k = 1..5, with entries of about 1000 bits (some zero)."""
+    rng = random.Random(12)
+    return [
+        (tuple(rng.choice((0, 1, -1, 1, -1)) * rng.getrandbits(1000) for _ in range(k)),)
+        for k in range(1, 6) for _ in range(30)
+    ]
+
+
+def test_kernel_basis_matches_smith_oracle():
+    for m in small_matrices() + wide_rows():
+        assert mx.kernel_basis(m) == oracles.kernel_basis_smith(m)
+
+
+def test_smith_invariants_match_normal_form_diagonal():
+    for m in small_matrices() + wide_rows():
+        _, s, _ = mx.smith_normal_form(m)
+        diag = tuple(s[i][i] for i in range(min(mx.shape(m))))
+        assert mx.smith_invariants(m) == tuple(d for d in diag if d)
+
+
+def test_smith_invariants_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    from sympy.polys.domains import ZZ
+
+    for m in small_matrices()[::5] + wide_rows()[::3]:
+        s = smith_normal_form(sympy.Matrix(m), domain=ZZ)
+        diag = [abs(int(s[i, i])) for i in range(min(s.shape))]
+        assert mx.smith_invariants(m) == tuple(d for d in diag if d)
 
 
 def test_solve_integer():

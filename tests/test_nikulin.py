@@ -154,6 +154,21 @@ def test_memoised_extraction_matches_uncached_oracle():
     assert checked > 2000
 
 
+def test_roundtrip_complement_kernels_match_smith_oracle():
+    # The 2 x 3 constraint matrices (G x, G y) of every brute-force embedding
+    # of the benchmark pairs: the Hermite kernel equals the Smith route.
+    checked = 0
+    for gram, ns in ROUNDTRIP_PAIRS:
+        source = IntegralLattice(gram)
+        for n in ns:
+            target = polarization_lattice(n)
+            for emb in brute_force_embeddings(source, n, 12):
+                constraints = mx.freeze(mx.mat_vec(target.gram, x) for x in emb.columns())
+                assert mx.kernel_basis(constraints) == oracles.kernel_basis_smith(constraints)
+                checked += 1
+    assert checked > 500
+
+
 def test_embeddings_with_one_glue_build_one_quotient(monkeypatch):
     calls = []
     real = nikulin.glue_perp_quotient
