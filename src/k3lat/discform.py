@@ -416,7 +416,10 @@ class SubgroupMap:
 
 
 def subgroup_isometries(v: FiniteSubgroup, w: FiniteSubgroup) -> list[SubgroupMap]:
-    """All group isomorphisms V -> W preserving the restricted quadratic forms."""
+    """All group isomorphisms V -> W preserving the restricted quadratic forms.
+
+    The general form, for any two subgroups; `nikulin.enumerate_valid_glues`
+    needs only cyclic W and walks their generators directly."""
     if v.invariant_factors != w.invariant_factors:
         return []
     # An image of a generator of order s is some sum c_j * w_j over W's structure

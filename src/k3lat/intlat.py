@@ -136,9 +136,23 @@ def is_primitive_sublattice(emb: SublatticeEmbedding) -> bool:
 
 
 def is_primitive_pair(matrix: mx.Matrix) -> bool:
-    """True when the two columns of `matrix` span a primitive rank-2 sublattice."""
-    invariants = mx.smith_invariants(matrix)
-    return len(invariants) == 2 and all(x == 1 for x in invariants)
+    """True when the two columns of the k x 2 `matrix` span a primitive rank-2
+    sublattice.
+
+    The gcd of the 2 x 2 minors is d1*d2, the product of the two Smith
+    invariants (0 when the rank is below 2), so the columns are primitive of
+    rank 2 exactly when it is 1; the scan stops as soon as it is.  Raises
+    `ValueError` unless every row has two entries.
+    """
+    if any(len(row) != 2 for row in matrix):
+        raise ValueError("is_primitive_pair needs a matrix with two columns")
+    g = 0
+    for i, (a, b) in enumerate(matrix):
+        for c, d in matrix[i + 1:]:
+            g = gcd(g, a * d - b * c)
+            if g == 1:
+                return True
+    return False
 
 
 def sublattice(target: IntegralLattice, columns) -> SublatticeEmbedding:

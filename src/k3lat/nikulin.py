@@ -29,7 +29,6 @@ from .discform import (
     discriminant_data,
     discriminant_form,
     glue_perp_quotient,
-    subgroup_isometries,
 )
 from .errors import (
     InadmissibleError,
@@ -41,8 +40,6 @@ from .intlat import (
     SublatticeEmbedding,
     enumerate_vectors,
     is_primitive_pair,
-    is_primitive_sublattice,
-    orthogonal_complement,
     polarization_lattice,
     rank_one,
 )
@@ -53,7 +50,7 @@ def _polarization_degree(lattice: IntegralLattice) -> int:
     """n such that the lattice is <2n> + U in the basis (e, f, g)."""
     if lattice.rank == 3 and lattice.gram[0][0] > 0 and lattice.gram[0][0] % 2 == 0:
         n = lattice.gram[0][0] // 2
-        if lattice.gram == polarization_lattice(n).gram:
+        if lattice.gram == ((2 * n, 0, 0), (0, 0, 1), (0, 1, 0)):
             return n
     raise LatticeError("ambient lattice must be <2n> + U in the basis (e, f, g)")
 
@@ -201,31 +198,35 @@ def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
     discriminant group.  The t of the glue quotient is checked against the
     rank-1 orthogonal complement <-2t>.  No step leaves the integers.
 
+    The shapes are fixed: M is 3 x 2, so it is primitive exactly when the gcd
+    of its 2 x 2 minors is 1 (`is_primitive_pair`), and the complement is
+    spanned by the cross product of M's two pairing columns, made primitive
+    (`_complement_generator`).  Only its norm -2t is read, so its sign does
+    not matter.
+
     Embeddings with the same V and images share one validated glue: V and the
     glue are memoised per process, like `discriminant_data`, while every check
     on the embedding itself runs on each call.
     """
     src = emb.source
     _check_source(src)
-    if not is_primitive_sublattice(emb):
+    if not is_primitive_pair(emb.matrix):
         raise LatticeError("embedding is not primitive")
     target = emb.target
     _polarization_degree(target)
-
-    comp = orthogonal_complement(target, emb.columns())
-    if comp.source.rank != 1 or comp.source.gram[0][0] >= 0:
-        raise LatticeError("complement is not negative definite of rank 1")
-    norm = -comp.source.gram[0][0]
-    if norm % 2 != 0:
-        raise InternalConsistencyError("complement of an even lattice must be even")
-
-    src_data = discriminant_data(src)
-    amb_data = discriminant_data(target)
 
     # Row i of G_T*M pairs e_i with the source basis; the complement is
     # orthogonal to the source, so this is the pairing vector of the source
     # component of e_i, whose class is a source glue generator.
     pairings = mx.mat_mul(target.gram, emb.matrix)
+    norm = -target.norm(_complement_generator(pairings))
+    if norm <= 0:
+        raise LatticeError("complement is not negative definite of rank 1")
+    if norm % 2 != 0:
+        raise InternalConsistencyError("complement of an even lattice must be even")
+
+    src_data = discriminant_data(src)
+    amb_data = discriminant_data(target)
     v_group = _glue_domain(src_data.form, tuple(src_data.class_of(row) for row in pairings))
 
     # A class of V with dual vector x goes to the class of M*x, whose pairing
@@ -244,6 +245,17 @@ def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
             f"glue quotient gives t = {glue.t}, but the complement has norm {-norm}"
         )
     return glue
+
+
+def _complement_generator(pairings: mx.Matrix) -> tuple[int, ...]:
+    """c = w / gcd(w) for the cross product w of the two columns of the 3 x 2
+    `pairings`: the primitive generator, up to sign, of the vectors of
+    <2n> + U orthogonal to a rank-2 sublattice whose columns pair with the
+    basis as `pairings` says.  The columns are independent, so w != 0."""
+    (a0, b0), (a1, b1), (a2, b2) = pairings
+    w = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    g = gcd(*w)
+    return tuple(x // g for x in w)
 
 
 @lru_cache(maxsize=None)
@@ -529,18 +541,40 @@ def brute_force_embeddings(
 
 
 def enumerate_valid_glues(source: IntegralLattice, n: int) -> list[GluingData]:
-    """All valid gluing maps for embeddings of `source` into <2n> + U."""
+    """All valid gluing maps for embeddings of `source` into <2n> + U.
+
+    The ambient group is the cyclic Z/2n, whose one subgroup of order k, for
+    each k dividing 2n, is W = <w0> with w0 = 2n/k.  So a subgroup V of A_S
+    can match only when it is cyclic (or trivial) of such an order, and an
+    isometry V -> W sends V's generator g to some c*w0 with gcd(c, k) = 1 and
+    q(c*w0) = q(g).  V runs over `all_subgroups(A_S)` in its order and c
+    ascends, which is the order of `subgroup_isometries` over every W.
+    """
     _check_source(source)
     a_src = discriminant_form(source)
-    a_amb = discriminant_form(rank_one(2 * n))
-    w_groups = all_subgroups(a_amb)
+    two_n = 2 * n
+    a_amb = discriminant_form(rank_one(two_n))
     out = []
     for v in all_subgroups(a_src):
-        for w in w_groups:
-            if v.order != w.order:
-                continue
-            for gamma in subgroup_isometries(v, w):
-                candidate = GluingData(gamma)
-                if candidate.is_valid():
-                    out.append(candidate)
+        k = v.order
+        if two_n % k or len(v.invariant_factors) > 1:
+            continue
+        w0 = two_n // k
+        w = FiniteSubgroup.generated_by(a_amb, [(w0,)])
+        if k == 1:
+            candidates = [()]
+        else:
+            # q(c*w0) = c^2 q(w0); the levels differ, so the q numerators are
+            # compared cross-multiplied.
+            q_g = a_src.q_of(v.structure_gens[0]) * two_n
+            q_w0, mod = a_amb.q_of((w0,)), 2 * two_n
+            candidates = [
+                ((c * w0,),)
+                for c in range(1, k)
+                if gcd(c, k) == 1 and c * c * q_w0 % mod * a_src.level == q_g
+            ]
+        for images in candidates:
+            candidate = GluingData(SubgroupMap(v, w, images))
+            if candidate.is_valid():
+                out.append(candidate)
     return out

@@ -6,7 +6,9 @@ integer numerators; these helpers list elements, on groups small enough for a
 test, and compute values in Fractions, to check its results by a second route.
 The isotropic quotient is also built here the long way, through the saturated
 orthogonal complement and an integer solve by Smith normal form, and the
-integer kernel through the transform V of a Smith normal form.
+integer kernel through the transform V of a Smith normal form.  Primitivity
+of a column pair is read off Smith invariants, and the valid glues come from
+the general-form search over every pair of subgroups.
 """
 
 import itertools
@@ -14,9 +16,10 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
+from k3lat import discform
 from k3lat import matrices as mx
-from k3lat.discform import FiniteSubgroup, SubgroupMap, discriminant_data
-from k3lat.intlat import IntegralLattice, orthogonal_complement
+from k3lat.discform import FiniteSubgroup, SubgroupMap, discriminant_data, discriminant_form
+from k3lat.intlat import IntegralLattice, orthogonal_complement, rank_one
 from k3lat.nikulin import GluingData
 
 
@@ -114,6 +117,13 @@ def kernel_basis_smith(m):
     if not gens:
         return tuple(() for _ in range(cols))
     return mx.transpose(mx.hermite_row_form(mx.freeze(gens)))
+
+
+def is_primitive_pair_smith(matrix):
+    """True when the two columns of `matrix` span a primitive rank-2
+    sublattice: both Smith invariants exist and equal 1."""
+    invariants = mx.smith_invariants(matrix)
+    return len(invariants) == 2 and all(x == 1 for x in invariants)
 
 
 def quotient_by_isotropic_hnf(lattice, v):
@@ -230,3 +240,22 @@ def extract_glue(emb):
     glue = GluingData(gamma)
     glue.validate()
     return glue
+
+
+def enumerate_valid_glues_generic(source, n):
+    """Every valid glue of `source` into <2n> + U by the general-form search:
+    each subgroup V of A_S against every subgroup W of Z/2n of its order,
+    through `subgroup_isometries`."""
+    a_src = discriminant_form(source)
+    a_amb = discriminant_form(rank_one(2 * n))
+    w_groups = discform.all_subgroups(a_amb)
+    out = []
+    for v in discform.all_subgroups(a_src):
+        for w in w_groups:
+            if v.order != w.order:
+                continue
+            for gamma in discform.subgroup_isometries(v, w):
+                candidate = GluingData(gamma)
+                if candidate.is_valid():
+                    out.append(candidate)
+    return out

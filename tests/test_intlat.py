@@ -59,6 +59,50 @@ def test_is_primitive_sublattice():
         is_primitive_sublattice(degenerate)
 
 
+def _pair_matrices():
+    """Seeded k x 2 matrices for k = 0..5 with entries in [-9, 9] (a third of
+    them sparse, and every fifth with its second column a multiple of the
+    first), the zero ones, and 3 x 2 ones with 1000-bit entries, raw, with the
+    second column doubled, and of rank 1."""
+    rng = random.Random(2718)
+    out = [tuple((0, 0) for _ in range(k)) for k in range(6)]
+    for i in range(2400):
+        k = i % 6
+        sparse = rng.random() < 1 / 3
+        rows = [
+            tuple(0 if sparse and rng.random() < 0.6 else rng.randint(-9, 9) for _ in range(2))
+            for _ in range(k)
+        ]
+        if i % 5 == 0:
+            f = rng.randint(-3, 3)
+            rows = [(a, f * a) for a, _ in rows]
+        out.append(tuple(rows))
+    for _ in range(100):
+        rows = [(rng.getrandbits(1000) - 2**999, rng.getrandbits(1000) - 2**999) for _ in range(3)]
+        out.append(tuple(rows))
+        out.append(tuple((a, 2 * b) for a, b in rows))
+        out.append(tuple((a, 3 * a) for a, _ in rows))
+    return out
+
+
+def test_is_primitive_pair_matches_smith_oracle():
+    seen = set()
+    for matrix in _pair_matrices():
+        expected = oracles.is_primitive_pair_smith(matrix)
+        assert intlat.is_primitive_pair(matrix) == expected, matrix
+        seen.add((expected, mx.smith_invariants(matrix)[1:2]))
+    # Primitive pairs, pairs with d2 = 2 and pairs of rank below 2 all occur.
+    assert {(True, (1,)), (False, (2,)), (False, ())} <= seen
+
+
+def test_is_primitive_pair_needs_two_columns():
+    assert intlat.is_primitive_pair(((1, 0), (0, 1), (5, 7)))
+    assert not intlat.is_primitive_pair(())
+    for matrix in (((1,), (0,)), ((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1, 0))):
+        with pytest.raises(ValueError, match="two columns"):
+            intlat.is_primitive_pair(matrix)
+
+
 def test_orthogonal_complement_examples():
     lam2 = polarization_lattice(1)
     c = orthogonal_complement(lam2, [(0, 1, 1), (1, 0, 0)])

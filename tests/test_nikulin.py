@@ -50,6 +50,25 @@ ROUNDTRIP_PAIRS = (
 )
 
 
+def _orientations(gram):
+    """The source in the bases (e1, e2), (e2, e1), (e1, -e2) and (e2, -e1)."""
+    (a, b), (_, c) = gram
+    return (((a, b), (b, c)), ((c, b), (b, a)), ((a, -b), (-b, c)), ((c, -b), (-b, a)))
+
+
+@cache
+def _roundtrip_embeddings():
+    """Every brute-force embedding (box 12) of the benchmark pairs, with each
+    source in all four orientations."""
+    out = []
+    for gram, ns in ROUNDTRIP_PAIRS:
+        for oriented in _orientations(gram):
+            source = IntegralLattice(oriented)
+            for n in ns:
+                out += brute_force_embeddings(source, n, 12)
+    return tuple(out)
+
+
 def _clear_glue_caches():
     nikulin._glue_domain.cache_clear()
     nikulin._glue_from_images.cache_clear()
@@ -138,20 +157,23 @@ def test_each_glue_validated_once(monkeypatch, command):
 
 
 def test_memoised_extraction_matches_uncached_oracle():
-    # Every brute-force embedding of the benchmark pairs, in the bases (e1, e2),
-    # (e2, e1), (e1, -e2) and (e2, -e1): the memoised glue equals a fresh one.
-    checked = 0
-    for ((a, b), (_, c)), ns in ROUNDTRIP_PAIRS:
-        orientations = (((a, b), (b, c)), ((c, b), (b, a)), ((a, -b), (-b, c)), ((c, -b), (-b, a)))
-        for gram in orientations:
-            source = IntegralLattice(gram)
-            for n in ns:
-                for emb in brute_force_embeddings(source, n, 12):
-                    glue, fresh = embedding_to_glue(emb), oracles.extract_glue(emb)
-                    assert glue.to_json_dict() == fresh.to_json_dict()
-                    assert glue._q_generator == fresh._q_generator
-                    checked += 1
-    assert checked > 2000
+    # The memoised glue equals a fresh one.
+    embeddings = _roundtrip_embeddings()
+    for emb in embeddings:
+        glue, fresh = embedding_to_glue(emb), oracles.extract_glue(emb)
+        assert glue.to_json_dict() == fresh.to_json_dict()
+        assert glue._q_generator == fresh._q_generator
+    assert len(embeddings) > 2000
+
+
+def test_complement_generator_matches_orthogonal_complement():
+    # The primitive cross product of the pairing columns spans the saturated
+    # complement: it equals its one basis column up to sign, with its norm.
+    for emb in _roundtrip_embeddings():
+        c = nikulin._complement_generator(mx.mat_mul(emb.target.gram, emb.matrix))
+        comp = orthogonal_complement(emb.target, emb.columns())
+        assert c in (comp.column(0), tuple(-x for x in comp.column(0)))
+        assert emb.target.norm(c) == comp.source.gram[0][0] < 0
 
 
 def test_roundtrip_complement_kernels_match_smith_oracle():
@@ -234,9 +256,20 @@ def test_embedding_to_glue_errors():
     non_primitive = sublattice(lam2, [(0, 2, 2), (1, 0, 0)])
     # Wrong signature: a rank-2 sublattice that is not positive definite.
     indefinite = sublattice(lam2, [(0, 1, 0), (0, 0, 1)])
+    # <2> + U with a norm-2 g: diag(2, 4) embeds primitively, but the Gram is
+    # not the ambient one in the basis (e, f, g).
+    wrong_ambient = sublattice(
+        IntegralLattice(((2, 0, 0), (0, 0, 1), (0, 1, 2))), [(1, 0, 0), (0, 1, 1)]
+    )
+    assert wrong_ambient.source.gram == DIAG24.gram
+    cases = (
+        (non_primitive, "embedding is not primitive"),
+        (indefinite, "rank-2 positive-definite"),
+        (wrong_ambient, "ambient lattice must be <2n> \\+ U"),
+    )
     # A failure is not memoised: the second call raises as the first did.
-    for emb in (non_primitive, non_primitive, indefinite, indefinite):
-        with pytest.raises(LatticeError):
+    for emb, message in cases + cases:
+        with pytest.raises(LatticeError, match=message):
             embedding_to_glue(emb)
 
 
@@ -392,6 +425,25 @@ def test_enumerate_valid_glues_past_enumeration_limit():
     emb = sublattice(polarization_lattice(n), [(0, 1, 1), (1, 71, -71)])
     expected = [embedding_to_glue(emb).to_json_dict()]
     assert [g.to_json_dict() for g in enumerate_valid_glues(DIAG22, n)] == expected
+
+
+def _glue_json(glues):
+    return [g.to_json_dict() for g in glues]
+
+
+def test_cyclic_walk_matches_generic_oracle():
+    # The benchmark sources in all four orientations for every n <= 12, and
+    # A_L = Z/2 + Z/2018 into <2018> + U, against the search over every W.
+    for gram, _ in ROUNDTRIP_PAIRS:
+        for oriented in _orientations(gram):
+            source = IntegralLattice(oriented)
+            for n in range(1, 13):
+                expected = _glue_json(oracles.enumerate_valid_glues_generic(source, n))
+                assert _glue_json(enumerate_valid_glues(source, n)) == expected
+    source = IntegralLattice(((2, 0), (0, 2018)))
+    expected = _glue_json(oracles.enumerate_valid_glues_generic(source, 1009))
+    assert expected
+    assert _glue_json(enumerate_valid_glues(source, 1009)) == expected
 
 
 def test_divisor_pairs_matches_full_scan():
