@@ -128,8 +128,14 @@ def identity_embedding(lattice: IntegralLattice) -> SublatticeEmbedding:
 
 
 def is_primitive_sublattice(emb: SublatticeEmbedding) -> bool:
-    """True when the image is saturated, i.e. all Smith invariants equal 1."""
-    invariants = mx.smith_invariants(emb.matrix)
+    """True when the image is saturated, i.e. all Smith invariants equal 1.
+
+    The invariants are the nonzero entries among the first min(rows, cols)
+    on the diagonal of the Smith normal form; raises
+    `DegenerateEmbeddingError` when there are fewer than the source rank.
+    """
+    _, s, _ = mx.smith_normal_form(emb.matrix)
+    invariants = [s[i][i] for i in range(min(mx.shape(s))) if s[i][i]]
     if len(invariants) < emb.source.rank:
         raise DegenerateEmbeddingError("embedding matrix is rank-deficient")
     return all(d == 1 for d in invariants)
@@ -175,29 +181,19 @@ def orthogonal_complement(
     if not vecs:
         return identity_embedding(lattice)
     constraints = mx.freeze([mx.mat_vec(lattice.gram, v) for v in vecs])
-    basis = mx.kernel_basis(constraints)
-    _, dim = mx.shape(basis)
-    cols = [tuple(basis[i][j] for i in range(lattice.rank)) for j in range(dim)]
-    return sublattice(lattice, cols)
+    return sublattice(lattice, mx.transpose(mx.kernel_basis(constraints)))
 
 
 def saturation(emb: SublatticeEmbedding) -> SublatticeEmbedding:
     """Replace the image by (image tensor Q) intersected with the target."""
-    invariants = mx.smith_invariants(emb.matrix)
-    if len(invariants) < emb.source.rank:
-        raise DegenerateEmbeddingError("saturation requires full column rank")
-    if all(d == 1 for d in invariants):
+    if is_primitive_sublattice(emb):
         return emb
     # The saturation is the double annihilator of the column span.
     left = mx.kernel_basis(mx.transpose(emb.matrix))
     if not left[0]:
         # Full rank: nothing annihilates the span, so it saturates to the target.
         return sublattice(emb.target, mx.identity(emb.target.rank))
-    constraints = mx.transpose(left)
-    basis = mx.kernel_basis(constraints)
-    _, dim = mx.shape(basis)
-    cols = [tuple(basis[i][j] for i in range(emb.target.rank)) for j in range(dim)]
-    return sublattice(emb.target, cols)
+    return sublattice(emb.target, mx.transpose(mx.kernel_basis(mx.transpose(left))))
 
 
 def index_of_sublattice(lattice: IntegralLattice, emb: SublatticeEmbedding) -> int:

@@ -1,7 +1,10 @@
 """Exact integer linear algebra: Smith and Hermite normal forms, kernels, det.
 
 All matrices are row-major tuples of tuples of Python ints (arbitrary
-precision), so nothing here can overflow or round.
+precision), so nothing here can overflow or round.  `smith_normal_form` is
+the one Smith routine: general primitivity and saturation in `intlat` read
+the invariants off its diagonal, and `intlat.is_primitive_pair` is the
+two-column kernel for the hot path.
 """
 
 from __future__ import annotations
@@ -85,57 +88,34 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     Pivot selection is by minimal absolute value, then row, then column, so
     the output is deterministic.
     """
-    u, s, v = _smith_elimination(m, True)
-    return freeze(u), freeze(s), freeze(v)
-
-
-def smith_invariants(m: Matrix) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith normal form of m.
-
-    Runs the same elimination as `smith_normal_form` but builds no U or V;
-    the invariants are unique, so they equal its diagonal.
-    """
-    _, s, _ = _smith_elimination(m, False)
-    n = min(shape(m))
-    return tuple(s[i][i] for i in range(n) if s[i][i] != 0)
-
-
-def _smith_elimination(m: Matrix, transforms: bool):
-    """The Smith elimination of m on lists: (U, S, V), with U and V None when
-    `transforms` is false, so that each step touches only S."""
     rows, cols = shape(m)
     a = [list(row) for row in m]
-    u = [list(row) for row in identity(rows)] if transforms else None
-    v = [list(row) for row in identity(cols)] if transforms else None
+    u = [list(row) for row in identity(rows)]
+    v = [list(row) for row in identity(cols)]
 
     def row_sub(i: int, k: int, q: int) -> None:
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        if u is not None:
-            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
 
     def col_sub(j: int, k: int, q: int) -> None:
         for row in a:
             row[j] -= q * row[k]
-        if v is not None:
-            for row in v:
-                row[j] -= q * row[k]
+        for row in v:
+            row[j] -= q * row[k]
 
     def row_swap(i: int, k: int) -> None:
         a[i], a[k] = a[k], a[i]
-        if u is not None:
-            u[i], u[k] = u[k], u[i]
+        u[i], u[k] = u[k], u[i]
 
     def col_swap(j: int, k: int) -> None:
         for row in a:
             row[j], row[k] = row[k], row[j]
-        if v is not None:
-            for row in v:
-                row[j], row[k] = row[k], row[j]
+        for row in v:
+            row[j], row[k] = row[k], row[j]
 
     def row_neg(i: int) -> None:
         a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
+        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < rows and t < cols:
@@ -186,11 +166,7 @@ def _smith_elimination(m: Matrix, transforms: bool):
                 break
             row_sub(t, offender, -1)
         t += 1
-    return u, a, v
-
-
-def rank(m: Matrix) -> int:
-    return len(smith_invariants(m))
+    return freeze(u), freeze(a), freeze(v)
 
 
 def hermite_row_form(m: Matrix) -> Matrix:

@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd
 
 from . import matrices as mx
-from .errors import LatticeError, NotIsotropicError, NotPrimeError
+from .errors import InvalidInputError, LatticeError, NotIsotropicError, NotPrimeError
 from .intlat import (
     IntegralLattice,
     is_primitive_vector,
@@ -94,25 +94,15 @@ class PartnerDiscReport:
     ell_valuation: int | None
     p_t_exponent: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "n_v": self.n_v,
-            "disc_ns": self.disc_ns,
-            "disc_ns_abs": self.disc_ns_abs,
-            "disc_quotient": self.disc_quotient,
-            "disc_quotient_abs": self.disc_quotient_abs,
-            "identity_lhs": self.identity_lhs,
-            "identity_rhs": self.identity_rhs,
-            "identity_holds": self.identity_holds,
-            "ell": self.ell,
-            "ell_valuation": self.ell_valuation,
-            "p_t_exponent": self.p_t_exponent,
-        }
-
 
 def _valuation(n: int, ell: int) -> int:
-    """ell-adic valuation: divide out ell^(2^i) for i from the largest down."""
+    """ell-adic valuation: divide out ell^(2^i) for i from the largest down.
+
+    Raises `InvalidInputError` for ell < 2: every power of 1 or -1 divides n,
+    so the squaring would never stop, and 0 divides nothing.
+    """
+    if ell < 2:
+        raise InvalidInputError(f"valuation needs a base of at least 2, got {ell}")
     if n == 0:
         raise ValueError("valuation of zero")
     n, powers = abs(n), [ell]

@@ -84,6 +84,13 @@ def solve_fraction(a, b):
     return tuple(aug[i][n] for i in range(n))
 
 
+def smith_invariants(m):
+    """Nonzero diagonal entries of the Smith normal form of m: its invariant
+    factors d1 | d2 | ..., one for each unit of rank."""
+    _, s, _ = mx.smith_normal_form(m)
+    return tuple(s[i][i] for i in range(min(mx.shape(s))) if s[i][i])
+
+
 def solve_integer(a, b):
     """One integer solution x of a*x = b, or None when unsolvable, read off
     the Smith normal form U*a*V = S."""
@@ -122,7 +129,7 @@ def kernel_basis_smith(m):
 def is_primitive_pair_smith(matrix):
     """True when the two columns of `matrix` span a primitive rank-2
     sublattice: both Smith invariants exist and equal 1."""
-    invariants = mx.smith_invariants(matrix)
+    invariants = smith_invariants(matrix)
     return len(invariants) == 2 and all(x == 1 for x in invariants)
 
 

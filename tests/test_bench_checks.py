@@ -8,12 +8,14 @@ judge the benchmark applies to nikulin-roundtrip.
 import ast
 import importlib.util
 import os
+import subprocess
 import sys
 
 from k3lat.intlat import IntegralLattice
 from k3lat.nikulin import brute_force_embeddings, embedding_to_glue, enumerate_valid_glues
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
 
 
 def _load(name, monkeypatch):
@@ -52,3 +54,12 @@ def test_roundtrip_outputs_pass_the_bench_checker(monkeypatch):
         classified = [glue.t for glue in enumerate_valid_glues(source, n)]
         matrices = [emb.matrix for emb in embeddings]
         assert checks.check_roundtrip(gram, n, brute_ts, matrices, classified) == []
+
+
+def test_bench_selftest_passes():
+    # The checkers must still accept real outputs and reject corrupted ones.
+    done = subprocess.run(
+        [sys.executable, "-B", os.path.join("bench", "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

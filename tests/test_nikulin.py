@@ -538,7 +538,7 @@ def _pairing_loop_embeddings(source, n, coeff_bound):
             if target.pairing(x, y) != source.gram[0][1]:
                 continue
             matrix = mx.freeze([[x[i], y[i]] for i in range(3)])
-            if mx.smith_invariants(matrix) == (1, 1):
+            if oracles.smith_invariants(matrix) == (1, 1):
                 out.append(matrix)
     return out
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from k3lat.errors import LatticeError, NotIsotropicError, NotPrimeError
+from k3lat.errors import InvalidInputError, LatticeError, NotIsotropicError, NotPrimeError
 from k3lat.matrices import freeze
 from k3lat.mukai import NeronSeveriData
 from k3lat.twisted import (
@@ -166,3 +166,13 @@ def test_valuation_matches_repeated_division():
                 assert _valuation(n, ell) == by_division(n, ell) == e
     with pytest.raises(ValueError):
         _valuation(0, 5)
+
+
+@pytest.mark.parametrize("ell", [-1, 0, 1])
+def test_valuation_rejects_base_below_two(ell):
+    # Powers of 1 or -1 never stop dividing n, and 0 divides nothing.
+    with pytest.raises(InvalidInputError, match="at least 2"):
+        _valuation(50, ell)
+    twist = TwistedMukaiLattice(NS2, -2, 5)
+    with pytest.raises(InvalidInputError, match="at least 2"):
+        partner_disc(twist, twist.vector(1, 0, (1,)), ell=ell)
