@@ -34,9 +34,9 @@ from .nikulin import (
     GluingData,
     admissible_m,
     embedding_to_glue,
+    embedding_witnesses,
     extend_glue,
     extension_constants,
-    realize_embedding,
 )
 from .mukai import (
     MukaiVector,

@@ -32,7 +32,7 @@ from .mukai import (
     mukai_pairing,
     mukai_square,
 )
-from .nikulin import embedding_to_glue, extend_glue, realize_embedding
+from .nikulin import embedding_to_glue, embedding_witnesses, extend_glue
 from .twisted import witness_sequence
 from .zarhin import build_seed, zarhin_construct
 
@@ -193,17 +193,18 @@ def _cmd_embed(inputs):
     seed = build_seed(inputs["d"], inputs["lsq"])
     glue = embedding_to_glue(seed.embedding)
     extended, cert = extend_glue(glue, inputs["m"])
-    result = realize_embedding(seed.lattice, extended, inputs["search_bound"])
+    emb = next(embedding_witnesses(seed.lattice, extended, inputs["search_bound"]), None)
+    found = emb is not None
     outputs = {
         "ambient_n": extended.ambient_n,
-        "status": result.status,
+        "status": "witness" if found else "certificate_only",
         "glue": extended.to_json_dict(),
         "certificate": cert.to_json_dict(),
-        "embedding": None if result.embedding is None else embedding_to_json(result.embedding),
+        "embedding": embedding_to_json(emb) if found else None,
     }
-    checks = [["glue_valid", True], ["witness_found", result.found]]
+    checks = [["glue_valid", True], ["witness_found", found]]
     recorded = {**inputs, "lsq": seed.lattice.gram[1][1]}
-    code = EXIT_OK if result.found else EXIT_CERTIFICATE_ONLY
+    code = EXIT_OK if found else EXIT_CERTIFICATE_ONLY
     return code, _manifest("embed", recorded, outputs, checks), None
 
 

@@ -54,11 +54,8 @@ class NeronSeveriData:
     def rank(self) -> int:
         return len(self.gram)
 
-    def lattice(self) -> IntegralLattice:
-        return self._lattice
-
     @cached_property
-    def _lattice(self) -> IntegralLattice:
+    def lattice(self) -> IntegralLattice:
         return IntegralLattice(self.gram)
 
 

@@ -73,8 +73,10 @@ def _matches_reference(q_num: int, two_t: int) -> bool:
 class GluingData:
     """Nikulin's gluing map gamma: V -> W for an embedding into <2n> + U.
 
-    V and W are gamma's domain and codomain; the complement <-2t> is read off
-    the glue quotient.
+    V and W are gamma's domain and codomain.  A GluingData is valid by
+    construction: the constructor raises LatticeError unless the glue is
+    valid, so the complement <-2t> can be read off the quotient of any
+    instance.
     """
 
     gamma: SubgroupMap
@@ -85,6 +87,16 @@ class GluingData:
             raise LatticeError("ambient discriminant group must be cyclic of even order")
         if amb.q[0] != 1:
             raise LatticeError("ambient form must be the standard one on Z/2n")
+        q = self.quotient_result.quotient
+        if len(q.orders) != 1 or q.orders[0] % 2 != 0:
+            raise LatticeError(
+                f"glue quotient has generator orders {q.orders}, expected one even order"
+            )
+        if not _matches_reference(q.q[0], q.orders[0]):
+            raise LatticeError(
+                f"glue quotient generator has q = {Fraction(q.q[0], q.level)},"
+                f" which never matches 1/{q.orders[0]}"
+            )
 
     @property
     def source_form(self) -> DiscriminantForm:
@@ -96,8 +108,7 @@ class GluingData:
 
     @property
     def t(self) -> int:
-        """Half the order of the glue quotient; raises unless the glue is valid."""
-        self.validate()
+        """Half the order of the glue quotient."""
         return self.quotient_result.quotient.orders[0] // 2
 
     @cached_property
@@ -131,31 +142,6 @@ class GluingData:
         raise InternalConsistencyError(
             "no quotient generator satisfies the q-normalization; glue data is inconsistent"
         )
-
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-        except LatticeError:
-            return False
-        return True
-
-    def validate(self) -> None:
-        """Raise unless the glue is valid; a glue that passes is not checked again."""
-        self._validated
-
-    @cached_property
-    def _validated(self) -> bool:
-        q = self.quotient_result.quotient
-        if len(q.orders) != 1 or q.orders[0] % 2 != 0:
-            raise LatticeError(
-                f"glue quotient has generator orders {q.orders}, expected one even order"
-            )
-        if not _matches_reference(q.q[0], q.orders[0]):
-            raise LatticeError(
-                f"glue quotient generator has q = {Fraction(q.q[0], q.level)},"
-                f" which never matches 1/{q.orders[0]}"
-            )
-        return True
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,7 +190,7 @@ def embedding_to_glue(emb: SublatticeEmbedding) -> GluingData:
     (`_complement_generator`).  Only its norm -2t is read, so its sign does
     not matter.
 
-    Embeddings with the same V and images share one validated glue: V and the
+    Embeddings with the same V and images share one glue: V and the
     glue are memoised per process, like `discriminant_data`, while every check
     on the embedding itself runs on each call.
     """
@@ -266,19 +252,19 @@ def _glue_domain(
     return FiniteSubgroup.generated_by(source_form, glue_classes).perp()
 
 
-@lru_cache(maxsize=None)
-def _glue_from_images(
+def _glue(
     v_group: FiniteSubgroup, ambient_form: DiscriminantForm, images: tuple[Element, ...]
 ) -> GluingData:
-    """The validated glue sending V's structure generators to `images`.  A
-    failed check raises and so is never cached."""
+    """The glue sending V's structure generators to `images` in the ambient form."""
     w_group = FiniteSubgroup.generated_by(ambient_form, images)
     gamma = SubgroupMap(v_group, w_group, images)
     if not (gamma.is_bijective and gamma.preserves_q):
-        raise InternalConsistencyError("extracted gluing map is not a form isometry")
-    glue = GluingData(gamma)
-    glue.validate()
-    return glue
+        raise InternalConsistencyError("gluing map is not a form isometry")
+    return GluingData(gamma)
+
+
+# Extraction's memo; a failed check raises and so is never cached.
+_glue_from_images = lru_cache(maxsize=None)(_glue)
 
 
 @dataclass(frozen=True)
@@ -333,8 +319,9 @@ def extend_glue(glue: GluingData, m: int) -> tuple[GluingData, ExtensionCertific
 
     Multiplication by m embeds Z/2d into Z/2md compatibly with the forms; the
     congruence lambda^2 t y0^2 + d = 0 mod m, lambda = 1 mod 4dt renormalizes
-    the quotient generator to q-value 1/(2tm).  The returned glue is
-    re-validated from scratch.
+    the quotient generator to q-value 1/(2tm).  The returned glue is built
+    afresh, so it is valid by construction, and it stays out of extraction's
+    memo.
     """
     d = glue.ambient_n
     t = glue.t
@@ -358,11 +345,7 @@ def extend_glue(glue: GluingData, m: int) -> tuple[GluingData, ExtensionCertific
 
     amb_new = discriminant_form(rank_one(2 * m * d))
     images = tuple(((m * img[0]) % (2 * m * d),) for img in glue.gamma.images)
-    w_new = FiniteSubgroup.generated_by(amb_new, images)
-    gamma_new = SubgroupMap(glue.gamma.domain, w_new, images)
-    if not (gamma_new.is_bijective and gamma_new.preserves_q):
-        raise InternalConsistencyError("extended gluing map is not a form isometry")
-    extended = GluingData(gamma_new)
+    extended = _glue(glue.gamma.domain, amb_new, images)
     if extended.t != t * m:
         raise InternalConsistencyError(
             f"extended glue has t = {extended.t}, expected t * m = {t * m}"
@@ -384,22 +367,6 @@ def extend_glue(glue: GluingData, m: int) -> tuple[GluingData, ExtensionCertific
         )
     cert = ExtensionCertificate(x0, y0, lam, m, t * m)
     return extended, cert
-
-
-@dataclass(frozen=True)
-class EmbeddingSearchResult:
-    """Outcome of realize_embedding: a witness, or None when the glue is the
-    only certificate."""
-
-    embedding: SublatticeEmbedding | None
-
-    @property
-    def found(self) -> bool:
-        return self.embedding is not None
-
-    @property
-    def status(self) -> str:
-        return "witness" if self.found else "certificate_only"
 
 
 def _signed_range(bound: int):
@@ -483,7 +450,6 @@ def embedding_witnesses(source: IntegralLattice, glue: GluingData, search_bound:
     (0, 1, q11/2) and scans the hyperbolic coordinate; later branches run the
     same scan over the other norm-q11 divisor shapes (x_e, x_f, x_g).
     """
-    glue.validate()
     if discriminant_form(source) != glue.source_form:
         raise LatticeError("glue source form does not match the given lattice")
     if search_bound < 0:
@@ -505,14 +471,6 @@ def embedding_witnesses(source: IntegralLattice, glue: GluingData, search_bound:
                 matrix = mx.freeze([[x[i], y[i]] for i in range(3)])
                 if is_primitive_pair(matrix):
                     yield SublatticeEmbedding(source, target, matrix)
-
-
-def realize_embedding(
-    source: IntegralLattice, glue: GluingData, search_bound: int
-) -> EmbeddingSearchResult:
-    """The first of `embedding_witnesses`; on exhaustion the glue itself is the
-    (existence-only) certificate."""
-    return EmbeddingSearchResult(next(embedding_witnesses(source, glue, search_bound), None))
 
 
 def brute_force_embeddings(
@@ -551,6 +509,8 @@ def enumerate_valid_glues(source: IntegralLattice, n: int) -> list[GluingData]:
     ascends, which is the order of `subgroup_isometries` over every W.
     """
     _check_source(source)
+    if n < 1:
+        raise LatticeError("polarization degree parameter must be positive")
     a_src = discriminant_form(source)
     two_n = 2 * n
     a_amb = discriminant_form(rank_one(two_n))
@@ -574,7 +534,8 @@ def enumerate_valid_glues(source: IntegralLattice, n: int) -> list[GluingData]:
                 if gcd(c, k) == 1 and c * c * q_w0 % mod * a_src.level == q_g
             ]
         for images in candidates:
-            candidate = GluingData(SubgroupMap(v, w, images))
-            if candidate.is_valid():
-                out.append(candidate)
+            try:
+                out.append(GluingData(SubgroupMap(v, w, images)))
+            except LatticeError:
+                pass
     return out

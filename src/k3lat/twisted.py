@@ -40,7 +40,7 @@ class TwistedMukaiLattice:
             raise LatticeError("gamma^2 must be a negative even integer")
         if self.r < 1:
             raise LatticeError("twist order r must be a positive integer")
-        if self.lattice.disc_abs != self.r**2 * abs(self.ns.lattice().det):
+        if self.lattice.disc_abs != self.r**2 * abs(self.ns.lattice.det):
             raise LatticeError("twisted lattice determinant identity failed")
 
     @cached_property
@@ -127,7 +127,7 @@ def partner_disc(
         raise NotIsotropicError("partner discriminant needs a primitive vector")
     quotient = quotient_by_isotropic(twist.lattice, v)
     n_v = divisibility_nv(twist, v)
-    disc_ns = ns_det = twist.ns.lattice().det
+    disc_ns = ns_det = twist.ns.lattice.det
     q_abs = quotient.disc_abs
     lhs = n_v**2 * q_abs
     rhs = twist.r**2 * abs(ns_det)

@@ -19,6 +19,7 @@ from math import gcd
 from k3lat import discform
 from k3lat import matrices as mx
 from k3lat.discform import FiniteSubgroup, SubgroupMap, discriminant_data, discriminant_form
+from k3lat.errors import LatticeError
 from k3lat.intlat import IntegralLattice, orthogonal_complement, rank_one
 from k3lat.nikulin import GluingData
 
@@ -244,9 +245,7 @@ def extract_glue(emb):
     w_group = FiniteSubgroup.generated_by(amb_data.form, images)
     gamma = SubgroupMap(v_group, w_group, tuple(images))
     assert gamma.is_bijective and gamma.preserves_q
-    glue = GluingData(gamma)
-    glue.validate()
-    return glue
+    return GluingData(gamma)
 
 
 def enumerate_valid_glues_generic(source, n):
@@ -262,7 +261,8 @@ def enumerate_valid_glues_generic(source, n):
             if v.order != w.order:
                 continue
             for gamma in discform.subgroup_isometries(v, w):
-                candidate = GluingData(gamma)
-                if candidate.is_valid():
-                    out.append(candidate)
+                try:
+                    out.append(GluingData(gamma))
+                except LatticeError:
+                    pass
     return out

@@ -50,6 +50,7 @@ def test_disc_form_malformed(tmp_path):
 def test_embed_exit_codes():
     code, doc = payload_of(["embed", "--d", "1", "--m", "5", "--search-bound", "8"])
     assert code == EXIT_OK
+    assert doc["outputs"]["status"] == "witness"
     matrix = doc["outputs"]["embedding"]["matrix"]
     assert matrix == [[0, 1], [1, 2], [1, -2]]
     assert doc["outputs"]["certificate"]["m"] == 5

@@ -248,7 +248,7 @@ def test_witness_quotients_match_hnf_oracle(d, ell, e):
         twist = TwistedMukaiLattice(ns, -2 * d, rec.r)
         report = partner_disc(twist, rec.v_n, ell)
         expected = oracles.quotient_by_isotropic_hnf(twist.lattice, rec.v_n)
-        n_v_sq, rem = divmod(rec.r**2 * ns.lattice().disc_abs, expected.disc_abs)
+        n_v_sq, rem = divmod(rec.r**2 * ns.lattice.disc_abs, expected.disc_abs)
         n_v = isqrt(n_v_sq)
         assert rem == 0 and n_v * n_v == n_v_sq
         val, rest = 0, expected.disc_abs

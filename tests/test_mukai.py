@@ -107,7 +107,7 @@ def test_full_mukai_lattice():
     assert u_only.disc_abs == 4
 
     ns = NeronSeveriData(((2, 1), (1, -4)))
-    assert full_mukai_lattice(ns).det == -ns.lattice().det
+    assert full_mukai_lattice(ns).det == -ns.lattice.det
 
 
 def test_full_lattice_reproduces_pairing():
@@ -165,7 +165,7 @@ def test_full_lattice_det_identity_fuzz():
                 gram[i][j] = gram[j][i] = v
         gram[0][0] = 2 * rng.randint(1, 4)
         ns = NeronSeveriData(tuple(tuple(r) for r in gram))
-        assert full_mukai_lattice(ns).det == -ns.lattice().det
+        assert full_mukai_lattice(ns).det == -ns.lattice.det
 
 
 def test_disc_comparison_all_nonisotropic_fuzz():

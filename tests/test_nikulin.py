@@ -17,17 +17,23 @@ from k3lat.intlat import (
     rank_one,
     sublattice,
 )
-from k3lat.discform import FiniteSubgroup, SubgroupMap, discriminant_data, discriminant_form
+from k3lat.discform import (
+    FiniteSubgroup,
+    SubgroupMap,
+    discriminant_data,
+    discriminant_form,
+    glue_perp_quotient,
+)
 from k3lat.nikulin import (
     GluingData,
     _divisor_pairs,
     admissible_m,
     brute_force_embeddings,
     embedding_to_glue,
+    embedding_witnesses,
     enumerate_valid_glues,
     extend_glue,
     extension_constants,
-    realize_embedding,
 )
 
 import oracles
@@ -139,7 +145,7 @@ def test_glue_extraction_matches_rational_oracle_on_brute_force():
 
 
 @pytest.mark.parametrize("command", ["embed", "zarhin"])
-def test_each_glue_validated_once(monkeypatch, command):
+def test_each_glue_checked_once(monkeypatch, command):
     # The seed glue (2t = 2) and the extended glue (2t = 2554) are each checked
     # once; earlier tests may have memoised the seed glue, so start afresh.
     _clear_glue_caches()
@@ -212,7 +218,6 @@ def test_embedding_to_glue_diag22():
     assert glue.t == 1
     assert glue.gamma.domain.order == 2
     assert glue.gamma.codomain.order == 2
-    glue.validate()
     # The quotient generator has q = lambda^2 / (2t) for a unit lambda: the
     # positive normalization, not only +-1/(2t).  q[0] is its numerator over 2t.
     q = glue.quotient_result.quotient
@@ -248,7 +253,6 @@ def test_embedding_to_glue_general_degree_complement():
         glue = embedding_to_glue(seed_embedding(d))
         assert glue.t == 1
         assert glue.gamma.domain.order == 2 * d
-        glue.validate()
 
 
 def test_embedding_to_glue_errors():
@@ -318,7 +322,6 @@ def test_extend_glue_worked_example():
     assert cert.new_t == 5
     assert cert.lam % 4 == 1
     assert (cert.lam**2 * glue.t * cert.y0**2 + 1) % 5 == 0
-    extended.validate()
     # The extended quotient is cyclic of order 2tm = 10.
     assert extended.quotient_result.quotient.orders == (10,)
 
@@ -353,7 +356,6 @@ def test_extend_glue_past_enumeration_limit():
     assert extended.quotient_result.product.order == 8 * 8941
     assert extended.t == cert.new_t == 8941
     assert extended.quotient_result.quotient.orders == (2 * 8941,)
-    extended.validate()
 
 
 def test_q_generator_matches_perp_listing_on_seeds():
@@ -381,30 +383,34 @@ def test_glue_validity_rejects_negative_target():
     a_src = discriminant_form(IntegralLattice(((2, 3), (3, 2))))
     trivial = FiniteSubgroup.trivial(a_src)
     w = FiniteSubgroup.trivial(discriminant_form(rank_one(2)))
-    glue = GluingData(SubgroupMap(trivial, w, ()))
-    q = glue.quotient_result.quotient
+    gamma = SubgroupMap(trivial, w, ())
+    q = glue_perp_quotient(gamma).quotient
     assert (q.orders, q.q) == ((10,), (19,))
-    assert not glue.is_valid()
     with pytest.raises(LatticeError):
-        glue.validate()
+        GluingData(gamma)
 
 
 def test_glue_t_needs_a_cyclic_quotient():
     # diag(2,2) with trivial V and W into <2> + U leaves the whole product
-    # (Z/2)^3 as the quotient: no t, and reading it raises the validation error.
+    # (Z/2)^3 as the quotient: no t, so no glue can be built.
     trivial = FiniteSubgroup.trivial(discriminant_form(DIAG22))
     w = FiniteSubgroup.trivial(discriminant_form(rank_one(2)))
-    glue = GluingData(SubgroupMap(trivial, w, ()))
-    assert glue.quotient_result.quotient.orders == (2, 2, 2)
-    assert not glue.is_valid()
+    gamma = SubgroupMap(trivial, w, ())
+    assert glue_perp_quotient(gamma).quotient.orders == (2, 2, 2)
     with pytest.raises(LatticeError, match="generator orders"):
-        glue.t
+        GluingData(gamma)
 
 
 @pytest.mark.parametrize("gram", [((2, 3), (3, 2)), ((-2, 0), (0, -2)), ((2,),)])
 def test_enumerate_valid_glues_rejects_non_positive_definite_source(gram):
     with pytest.raises(LatticeError, match="rank-2 positive-definite"):
         enumerate_valid_glues(IntegralLattice(gram), 1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumerate_valid_glues_rejects_non_positive_degree(n):
+    with pytest.raises(LatticeError, match="^polarization degree parameter must be positive$"):
+        enumerate_valid_glues(DIAG22, n)
 
 
 def test_enumerate_valid_glues_lets_internal_errors_through(monkeypatch):
@@ -457,31 +463,22 @@ def test_divisor_pairs_matches_full_scan():
         assert list(_divisor_pairs(p, 3)) == expected
 
 
-def test_realize_embedding_examples():
+def test_embedding_witnesses_examples():
     glue5 = embedding_to_glue(sublattice(polarization_lattice(5), [(0, 1, 1), (1, 2, -2)]))
-    res = realize_embedding(DIAG22, glue5, 8)
-    assert res.found
-    assert res.embedding.columns() == [(0, 1, 1), (1, 2, -2)]
+    emb = next(embedding_witnesses(DIAG22, glue5, 8))
+    assert emb.columns() == [(0, 1, 1), (1, 2, -2)]
 
     glue1 = embedding_to_glue(seed_embedding(1))
-    res1 = realize_embedding(DIAG22, glue1, 8)
-    assert res1.found
-    assert res1.embedding.columns() == [(0, 1, 1), (1, 0, 0)]
+    emb1 = next(embedding_witnesses(DIAG22, glue1, 8))
+    assert emb1.columns() == [(0, 1, 1), (1, 0, 0)]
 
-    assert res.status == res1.status == "witness"
-
-    res0 = realize_embedding(DIAG22, glue5, 0)
-    assert res0.status == "certificate_only"
-    assert not res0.found
-    assert res0.embedding is None
+    assert next(embedding_witnesses(DIAG22, glue5, 0), None) is None
 
 
 def test_realize_via_extension_pipeline():
     glue = embedding_to_glue(seed_embedding(1))
     extended, _ = extend_glue(glue, 5)
-    res = realize_embedding(DIAG22, extended, 8)
-    assert res.found
-    emb = res.embedding
+    emb = next(embedding_witnesses(DIAG22, extended, 8))
     # Exact isometric, primitive image.
     assert emb.source.gram == DIAG22.gram
     assert embedding_to_glue(emb).t == 5
@@ -492,11 +489,10 @@ def test_realize_needs_divisor_branch():
     # divisor branch finds one with larger hyperbolic coordinates.
     glue = embedding_to_glue(seed_embedding(2))
     extended, _ = extend_glue(glue, 17)
-    res = realize_embedding(DIAG24, extended, 12)
-    assert res.found
-    cols = res.embedding.columns()
+    emb = next(embedding_witnesses(DIAG24, extended, 12))
+    cols = emb.columns()
     assert cols[0] != (0, 1, 1)
-    assert embedding_to_glue(res.embedding).t == 17
+    assert embedding_to_glue(emb).t == 17
 
 
 def test_realize_non_diagonal_source():
@@ -505,9 +501,7 @@ def test_realize_non_diagonal_source():
     source = IntegralLattice(((2, 1), (1, 2)))
     emb = sublattice(polarization_lattice(1), [(0, 1, 1), (1, 0, 1)])
     glue = embedding_to_glue(emb)
-    res = realize_embedding(source, glue, 8)
-    assert res.found
-    found = res.embedding
+    found = next(embedding_witnesses(source, glue, 8))
     assert found.source.gram == source.gram
     assert embedding_to_glue(found).t == glue.t
 
@@ -519,6 +513,17 @@ def test_extend_glue_deterministic():
     assert first[1] == second[1]
     assert first[0].gamma.images == second[0].gamma.images
     assert first[0].t == second[0].t
+
+
+@pytest.mark.parametrize("m", [5, 13, 8941])
+def test_extended_glues_stay_out_of_extraction_memo(m):
+    glue = embedding_to_glue(seed_embedding(1))
+    before = nikulin._glue_from_images.cache_info().currsize
+    first, _ = extend_glue(glue, m)
+    assert nikulin._glue_from_images.cache_info().currsize == before
+    second, _ = extend_glue(glue, m)
+    assert first == second
+    assert first is not second
 
 
 @cache
@@ -564,9 +569,7 @@ def test_round_trip_small():
             embeddings = brute_force_embeddings(source, n, 12)
             ts = set()
             for emb in embeddings:
-                glue = embedding_to_glue(emb)
-                glue.validate()
-                ts.add(glue.t)
+                ts.add(embedding_to_glue(emb).t)
             glues = enumerate_valid_glues(source, n)
             for glue in glues:
                 assert glue.t in ts

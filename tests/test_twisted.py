@@ -61,7 +61,7 @@ def test_twisted_disc_identity_fuzz():
         n = rng.randint(1, 3)
         r = ell**n
         twist = TwistedMukaiLattice(ns, -gram[0][0], r)
-        assert twist.lattice.disc_abs == r**2 * ns.lattice().disc_abs
+        assert twist.lattice.disc_abs == r**2 * ns.lattice.disc_abs
         checked += 1
 
 
@@ -97,7 +97,7 @@ def test_partner_disc_examples():
     omega = untwisted.vector(0, 1)
     report3 = partner_disc(untwisted, omega)
     assert report3.n_v == 1
-    assert report3.disc_quotient_abs == NS2.lattice().disc_abs
+    assert report3.disc_quotient_abs == NS2.lattice.disc_abs
     assert report3.identity_holds
 
     with pytest.raises(NotIsotropicError):
