@@ -3,7 +3,8 @@ search, and representing values of quadratic forms modulo prime powers.
 
 Everything is exact integer arithmetic.  Primality testing is Miller-Rabin with
 the primes up to 41 as witnesses, deterministic below psi_13 ~ 3.3 * 10^24; above
-it a strong Lucas test is added (BPSW, with no known pseudoprime).
+it a strong Lucas test is added (BPSW, with no known pseudoprime).  Symbols are
+Jacobi symbols by reciprocity, which equal Legendre symbols at a prime.
 """
 
 from __future__ import annotations
@@ -99,14 +100,10 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) via Euler's criterion; p must be an odd prime."""
+    """Legendre symbol (a|p), as the Jacobi symbol; p must be an odd prime."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise NotPrimeError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    ls = pow(a, (p - 1) // 2, p)
-    return -1 if ls == p - 1 else 1
+    return _jacobi(a, p)
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:
@@ -126,7 +123,7 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:  # Euler's criterion; p is known prime
+    while _jacobi(z, p) != -1:
         z += 1
     c = pow(z, q, p)
     x = pow(a, (q + 1) // 2, p)
@@ -185,8 +182,9 @@ def prime_search(
 ) -> list[int]:
     """First `count` primes p >= minimum with p = 1 mod 8 and (x|p) = 1 for all x.
 
-    The congruence p = 1 mod 8 makes -1 and 2 automatic residues; the other
-    constraint values are tested directly.  Results are in ascending order.
+    The congruence p = 1 mod 8 makes -1 and 2 automatic residues.  Jacobi symbols,
+    which need no modular power, screen each candidate before BPSW does; at a
+    prime they are the Legendre symbols.  Results are in ascending order.
     """
     if count < 1:
         raise InvalidInputError("count must be at least 1")
@@ -198,8 +196,7 @@ def prime_search(
             raise ScanCeilingError(
                 f"no further primes below the scan ceiling {scan_ceiling}; found {out}"
             )
-        # Euler's criterion directly: legendre would test p for primality again.
-        if is_prime(p) and all(pow(x, (p - 1) // 2, p) == 1 for x in constraint.values):
+        if all(_jacobi(x, p) == 1 for x in constraint.values) and is_prime(p):
             out.append(p)
         p += 8
     return out
@@ -223,6 +220,8 @@ def represent_value(
     Requires det(G) nonzero mod ell.  F_ell^rank is scanned lazily in lex order
     to the first solution whose gradient 2*G*x is nonzero mod ell; its first such
     coordinate is lifted by Newton steps that double the precision up to ell^k.
+    The slope inverse is lifted alongside by a Newton step: the residual at a
+    step to old^2 is a multiple of old, so the inverse is needed modulo old only.
     The lift of that coordinate is unique, so any lifting method gives this result.
     """
     g = mx.freeze(gram)
@@ -253,11 +252,13 @@ def represent_value(
             f"every mod-{ell} solution is a singular point of the form; cannot lift"
         )
     x, modulus, top = list(x0), ell, ell**k
+    inv = pow(2 * sum(a * b for a, b in zip(g[pivot], x)), -1, ell)
     while modulus < top:
-        modulus = min(modulus * modulus, top)
+        old, modulus = modulus, min(modulus * modulus, top)
         slope = 2 * sum(a * b for a, b in zip(g[pivot], x))
+        inv = inv * (2 - slope * inv) % old
         residual = _form_value(g, tuple(x), modulus) - c
-        x[pivot] = (x[pivot] - residual * pow(slope, -1, modulus)) % modulus
+        x[pivot] = (x[pivot] - residual * inv) % modulus
     if _form_value(g, tuple(x), top) != c % top:
         raise UnrepresentableError("Hensel lifting failed to reach the target precision")
     return tuple(x)

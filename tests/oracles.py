@@ -8,7 +8,8 @@ The isotropic quotient is also built here the long way, through the saturated
 orthogonal complement and an integer solve by Smith normal form, and the
 integer kernel through the transform V of a Smith normal form.  Primitivity
 of a column pair is read off Smith invariants, and the valid glues come from
-the general-form search over every pair of subgroups.
+the general-form search over every pair of subgroups.  The QR-prime search
+tests primality first and the residues by Euler's criterion after.
 """
 
 import itertools
@@ -19,8 +20,9 @@ from math import gcd
 from k3lat import discform
 from k3lat import matrices as mx
 from k3lat.discform import FiniteSubgroup, SubgroupMap, discriminant_data, discriminant_form
-from k3lat.errors import LatticeError
+from k3lat.errors import InvalidInputError, LatticeError, ScanCeilingError
 from k3lat.intlat import IntegralLattice, orthogonal_complement, rank_one
+from k3lat.modarith import is_prime
 from k3lat.nikulin import GluingData
 
 
@@ -265,4 +267,24 @@ def enumerate_valid_glues_generic(source, n):
                     out.append(GluingData(gamma))
                 except LatticeError:
                     pass
+    return out
+
+
+def prime_search_bpsw_first(constraint, minimum, count, scan_ceiling=None):
+    """First `count` primes p >= minimum with p = 1 mod 8 and (x|p) = 1 for
+    every constraint value x: each candidate is tested for primality (BPSW)
+    first, then each x by Euler's criterion x^((p-1)/2) = 1 mod p."""
+    if count < 1:
+        raise InvalidInputError("count must be at least 1")
+    out = []
+    start = max(minimum, 3)
+    p = start + ((1 - start) % 8)
+    while len(out) < count:
+        if scan_ceiling is not None and p > scan_ceiling:
+            raise ScanCeilingError(
+                f"no further primes below the scan ceiling {scan_ceiling}; found {out}"
+            )
+        if is_prime(p) and all(pow(x, (p - 1) // 2, p) == 1 for x in constraint.values):
+            out.append(p)
+        p += 8
     return out

@@ -2,15 +2,17 @@
 
 bench/checks.py recomputes every claim with the standard library alone; it is
 loaded here by path, as bench/run.py loads it, so the suite sees the same
-judge the benchmark applies to nikulin-roundtrip.
+judge the benchmark applies to nikulin-roundtrip and to the qf-arith manifests.
 """
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 
+from k3lat import cli
 from k3lat.intlat import IntegralLattice
 from k3lat.nikulin import brute_force_embeddings, embedding_to_glue, enumerate_valid_glues
 
@@ -54,6 +56,21 @@ def test_roundtrip_outputs_pass_the_bench_checker(monkeypatch):
         classified = [glue.t for glue in enumerate_valid_glues(source, n)]
         matrices = [emb.matrix for emb in embeddings]
         assert checks.check_roundtrip(gram, n, brute_ts, matrices, classified) == []
+
+
+def test_qf_arith_manifests_pass_the_bench_checker(monkeypatch):
+    # The checker re-scans each prime-search range with its own primality test
+    # and Jacobi symbols, so a residue filter that drops a prime fails here.
+    checks = _load("checks", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    ops = [argv for kind, argv, fault in next(workloads.round_stream("qf-arith", 1))
+           if kind == "cli" and fault is None]
+    assert len(ops) == 34
+    assert {argv[0] for argv in ops} == {"rep", "prime-search"}
+    for argv in ops:
+        code, out = cli.run(argv)
+        assert code == 0, argv
+        assert checks.check_manifest(json.loads(out), code) == [], argv
 
 
 def test_bench_selftest_passes():

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import oracles
 import pytest
 
 import k3lat.modarith
@@ -14,6 +15,7 @@ from k3lat.errors import (
 )
 from k3lat.modarith import (
     QRConstraint,
+    _jacobi,
     crt,
     is_prime,
     legendre,
@@ -125,6 +127,64 @@ def test_prime_search_examples():
             assert legendre(x, p) == 1
     with pytest.raises(ScanCeilingError):
         prime_search(QRConstraint((2,)), 3, 5, scan_ceiling=20)
+
+
+QR_POOL = (1, 2, 3, 4, 5, 6, 7, 10, 11, 13, 15, 17, 19, 23, 41, 73, 89, 97, 113, 137)
+# Pool values that are primes = 1 mod 8: a search from at or below one of them
+# meets a candidate p with (x|p) = 0.
+SPLIT_PRIMES = (17, 41, 73, 89, 97, 113, 137)
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def _prime_search_case(rng):
+    values = [rng.choice((1, -1)) * v for v in rng.sample(QR_POOL, rng.randint(0, 4))]
+    kind = rng.randrange(4)
+    if kind == 0:
+        q = rng.choice(SPLIT_PRIMES)
+        if q not in map(abs, values):
+            values = values[1:] + [rng.choice((q, -q))]
+        minimum = q - rng.randint(0, 40)
+    elif kind == 1:
+        minimum = rng.randint(-5, 300)
+    elif kind == 2:  # the search crosses the switch from Miller-Rabin alone to BPSW
+        minimum = PSI_13 - rng.randint(0, 10**4)
+    else:
+        minimum = rng.randint(1, 10 ** rng.randint(1, 30))
+    count = rng.randint(1, 6)
+    ceiling = None
+    if rng.random() < 0.4:
+        ceiling = max(minimum, 3) + rng.randint(0, 300 * 2 ** len(values))
+    return QRConstraint(tuple(values)), minimum, count, ceiling
+
+
+def test_prime_search_matches_bpsw_first_oracle():
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(300):
+        case = _prime_search_case(rng)
+        constraint, minimum, _, _ = case
+        got = _outcome(prime_search, *case)
+        assert got == _outcome(oracles.prime_search_bpsw_first, *case), case
+        if isinstance(got[0], type):
+            kinds.add("ceiling, some found" if "found []" not in got[1] else "ceiling")
+        elif any(minimum <= abs(x) < got[-1] and abs(x) in SPLIT_PRIMES
+                 for x in constraint.values):
+            kinds.add("passed a zero symbol")
+        else:
+            kinds.add("ok")
+    assert kinds == {"ok", "passed a zero symbol", "ceiling", "ceiling, some found"}
+
+
+def test_jacobi_matches_sympy_and_euler():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 3000, 2):
+        prime = is_prime(n)
+        for a in range(-60, 61):
+            got = _jacobi(a, n)
+            assert got == sympy.jacobi_symbol(a, n), (a, n)
+            if prime:
+                euler = pow(a, (n - 1) // 2, n)
+                assert got == (-1 if euler == n - 1 else euler), (a, n)
 
 
 def test_represent_value_examples():
@@ -272,3 +332,20 @@ def test_represent_value_high_precision():
     g = ((2, 0), (0, -2))
     x = represent_value(g, 1, 101, 2200)
     assert (2 * x[0] ** 2 - 2 * x[1] ** 2) % 101**2200 == 1
+
+
+def test_represent_value_matches_oracle_at_high_precision():
+    # Past k = 30 the slope inverse modulo the previous precision is large.
+    rng = random.Random(64)
+    outcomes = []
+    for k in (64, 257, 600):
+        for n, ell in ((1, 3), (2, 3), (3, 3), (1, 7), (2, 7), (3, 7), (1, 101), (2, 101)):
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    gram[i][j] = gram[j][i] = rng.randint(-9, 9)
+            c = rng.randint(-10**6, 10**6)
+            got = _outcome(represent_value, gram, c, ell, k)
+            assert got == _outcome(_represent_value_oracle, gram, c, ell, k), (gram, c, ell, k)
+            outcomes.append(not isinstance(got[0], type))
+    assert sum(outcomes) >= 2 * len(outcomes) // 3
