@@ -8,17 +8,12 @@ __version__ = "0.1.0"
 from .intlat import (
     IntegralLattice,
     SublatticeEmbedding,
-    direct_sum,
     enumerate_vectors,
-    hyperbolic_plane,
     identity_embedding,
-    index_of_sublattice,
-    is_primitive_sublattice,
     orthogonal_complement,
     polarization_lattice,
     quotient_by_isotropic,
     rank_one,
-    saturation,
     sublattice,
 )
 from .discform import (
@@ -27,7 +22,6 @@ from .discform import (
     SubgroupMap,
     discriminant_form,
     glue_perp_quotient,
-    subgroup_isometries,
 )
 from .nikulin import (
     ExtensionCertificate,
@@ -48,14 +42,10 @@ from .mukai import (
     full_mukai_lattice,
     moduli_dimension,
     mukai_pairing,
-    mukai_vector_of_sheaf,
 )
 from .zarhin import (
     ZarhinCertificate,
-    brauer_multiplier,
     build_seed,
-    ensure_positive_rank,
-    zarhin_constants,
     zarhin_construct,
 )
 from .twisted import (

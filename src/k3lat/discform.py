@@ -11,8 +11,7 @@ membership, structure, orthogonal complements and glue quotients are integer
 linear algebra on that lattice.  Coordinates in a quotient of two relation
 lattices are read off one Smith form.  Maps between subgroups are checked on
 generators.  Nothing lists the elements of a group: `all_subgroups` enumerates
-relation lattices by their Hermite forms, and `subgroup_isometries` takes its
-candidate images from structure coordinates.
+relation lattices by their Hermite forms.
 """
 
 from __future__ import annotations
@@ -81,14 +80,8 @@ class DiscriminantForm:
         """Exponent of the group: the common denominator of the form values."""
         return lcm(*self.orders)
 
-    def zero(self) -> Element:
-        return (0,) * self.ngens
-
     def reduce(self, x) -> Element:
         return tuple(int(c) % o for c, o in zip(x, self.orders, strict=True))
-
-    def add(self, x: Element, y: Element) -> Element:
-        return tuple((a + b) % o for a, b, o in zip(x, y, self.orders, strict=True))
 
     def scale(self, n: int, x: Element) -> Element:
         return tuple((n * a) % o for a, o in zip(x, self.orders, strict=True))
@@ -242,10 +235,6 @@ class FiniteSubgroup:
         return FiniteSubgroup(ambient, tuple(tuple(g) for g in gens))
 
     @staticmethod
-    def trivial(ambient: DiscriminantForm) -> "FiniteSubgroup":
-        return FiniteSubgroup(ambient, ())
-
-    @staticmethod
     def full(ambient: DiscriminantForm) -> "FiniteSubgroup":
         k = ambient.ngens
         return FiniteSubgroup(
@@ -330,12 +319,6 @@ def _lattice_coordinates(upper: mx.Matrix, x) -> mx.Vector | None:
     return tuple(y)
 
 
-def _combination(form: DiscriminantForm, coeffs, gens) -> Element:
-    """sum coeffs[i] * gens[i], reduced in form."""
-    pairs = tuple(zip(coeffs, gens, strict=True))
-    return form.reduce(sum(c * g[i] for c, g in pairs) for i in range(form.ngens))
-
-
 @dataclass(frozen=True)
 class _SmithQuotient:
     """Cyclic decomposition of upper/lower (see `_smith_quotient`): `orders` are
@@ -413,30 +396,6 @@ class SubgroupMap:
             dst.b_of(h1, h2) * m == src.b_of(g1, g2) * n
             for (g1, h1), (g2, h2) in itertools.combinations(pairs, 2)
         )
-
-
-def subgroup_isometries(v: FiniteSubgroup, w: FiniteSubgroup) -> list[SubgroupMap]:
-    """All group isomorphisms V -> W preserving the restricted quadratic forms.
-
-    The general form, for any two subgroups; `nikulin.enumerate_valid_glues`
-    needs only cyclic W and walks their generators directly."""
-    if v.invariant_factors != w.invariant_factors:
-        return []
-    # An image of a generator of order s is some sum c_j * w_j over W's structure
-    # generators of orders e_j, and s kills it iff e_j / gcd(e_j, s) divides each c_j.
-    candidates = []
-    for s in v.invariant_factors:
-        steps = (range(0, e, e // gcd(e, s)) for e in w.invariant_factors)
-        candidates.append(
-            [_combination(w.ambient, c, w.structure_gens) for c in itertools.product(*steps)]
-        )
-    out = []
-    for images in itertools.product(*candidates):
-        gamma = SubgroupMap(v, w, images)
-        if gamma.is_bijective and gamma.preserves_q:
-            out.append(gamma)
-    out.sort(key=lambda g: g.images)
-    return out
 
 
 @dataclass(frozen=True)

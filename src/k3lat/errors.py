@@ -9,10 +9,6 @@ class LatticeError(K3latError):
     """Invalid lattice data or an operation outside its preconditions."""
 
 
-class DegenerateEmbeddingError(LatticeError):
-    """Embedding matrix is rank-deficient."""
-
-
 class RankMismatchError(LatticeError):
     """Operand dimensions are incompatible."""
 

@@ -1,4 +1,4 @@
-"""Even integral lattices: embeddings, complements, saturation, isotropic quotients.
+"""Even integral lattices: embeddings, complements, primitivity, isotropic quotients.
 
 Vectors are plain tuples of ints, always expressed in the basis of the lattice
 they belong to.  A sublattice embedding stores the images of the source basis
@@ -13,12 +13,7 @@ from math import gcd, isqrt
 from operator import mul
 
 from . import matrices as mx
-from .errors import (
-    DegenerateEmbeddingError,
-    LatticeError,
-    NotIsotropicError,
-    RankMismatchError,
-)
+from .errors import LatticeError, NotIsotropicError, RankMismatchError
 
 Vector = tuple[int, ...]
 
@@ -63,18 +58,6 @@ class IntegralLattice:
 
     def norm(self, x: Vector) -> int:
         return self.pairing(x, x)
-
-
-def direct_sum(a: IntegralLattice, b: IntegralLattice) -> IntegralLattice:
-    n, m = a.rank, b.rank
-    rows = [list(row) + [0] * m for row in a.gram]
-    rows += [[0] * n + list(row) for row in b.gram]
-    return IntegralLattice(mx.freeze(rows))
-
-
-def hyperbolic_plane() -> IntegralLattice:
-    """The rank-2 even unimodular lattice U with Gram [[0,1],[1,0]]."""
-    return IntegralLattice(((0, 1), (1, 0)))
 
 
 def rank_one(norm: int) -> IntegralLattice:
@@ -127,20 +110,6 @@ def identity_embedding(lattice: IntegralLattice) -> SublatticeEmbedding:
     return SublatticeEmbedding(lattice, lattice, mx.identity(lattice.rank))
 
 
-def is_primitive_sublattice(emb: SublatticeEmbedding) -> bool:
-    """True when the image is saturated, i.e. all Smith invariants equal 1.
-
-    The invariants are the nonzero entries among the first min(rows, cols)
-    on the diagonal of the Smith normal form; raises
-    `DegenerateEmbeddingError` when there are fewer than the source rank.
-    """
-    _, s, _ = mx.smith_normal_form(emb.matrix)
-    invariants = [s[i][i] for i in range(min(mx.shape(s))) if s[i][i]]
-    if len(invariants) < emb.source.rank:
-        raise DegenerateEmbeddingError("embedding matrix is rank-deficient")
-    return all(d == 1 for d in invariants)
-
-
 def is_primitive_pair(matrix: mx.Matrix) -> bool:
     """True when the two columns of the k x 2 `matrix` span a primitive rank-2
     sublattice.
@@ -182,30 +151,6 @@ def orthogonal_complement(
         return identity_embedding(lattice)
     constraints = mx.freeze([mx.mat_vec(lattice.gram, v) for v in vecs])
     return sublattice(lattice, mx.transpose(mx.kernel_basis(constraints)))
-
-
-def saturation(emb: SublatticeEmbedding) -> SublatticeEmbedding:
-    """Replace the image by (image tensor Q) intersected with the target."""
-    if is_primitive_sublattice(emb):
-        return emb
-    # The saturation is the double annihilator of the column span.
-    left = mx.kernel_basis(mx.transpose(emb.matrix))
-    if not left[0]:
-        # Full rank: nothing annihilates the span, so it saturates to the target.
-        return sublattice(emb.target, mx.identity(emb.target.rank))
-    return sublattice(emb.target, mx.transpose(mx.kernel_basis(mx.transpose(left))))
-
-
-def index_of_sublattice(lattice: IntegralLattice, emb: SublatticeEmbedding) -> int:
-    """Index [lattice : image] of a full-rank sublattice."""
-    if emb.target != lattice:
-        raise RankMismatchError("embedding target is not the given lattice")
-    if emb.source.rank != lattice.rank:
-        raise RankMismatchError("sublattice is not of full rank")
-    d = mx.det(emb.matrix)
-    if d == 0:
-        raise DegenerateEmbeddingError("embedding matrix is singular")
-    return abs(d)
 
 
 def is_primitive_vector(x: Vector) -> bool:

@@ -2,9 +2,8 @@
 
 All matrices are row-major tuples of tuples of Python ints (arbitrary
 precision), so nothing here can overflow or round.  `smith_normal_form` is
-the one Smith routine: general primitivity and saturation in `intlat` read
-the invariants off its diagonal, and `intlat.is_primitive_pair` is the
-two-column kernel for the hot path.
+the one Smith routine: `discform` reads discriminant groups and quotients of
+relation lattices off it.
 """
 
 from __future__ import annotations

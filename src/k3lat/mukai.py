@@ -19,13 +19,7 @@ from math import gcd, prod
 
 from . import matrices as mx
 from .errors import InvalidInputError, LatticeError, NotIsotropicError, RankMismatchError
-from .intlat import (
-    IntegralLattice,
-    index_of_sublattice,
-    is_primitive_vector,
-    orthogonal_complement,
-    sublattice,
-)
+from .intlat import IntegralLattice, is_primitive_vector, orthogonal_complement
 
 
 @dataclass(frozen=True)
@@ -80,12 +74,6 @@ class MukaiVector:
     def is_primitive(self) -> bool:
         return is_primitive_vector(self.components())
 
-    def scaled(self, n: int) -> "MukaiVector":
-        return MukaiVector(n * self.a, tuple(n * x for x in self.d), n * self.c)
-
-    def negated(self) -> "MukaiVector":
-        return self.scaled(-1)
-
     def to_json_dict(self) -> dict:
         return {"a": self.a, "d": list(self.d), "c": self.c}
 
@@ -100,11 +88,6 @@ def mukai_pairing(v: MukaiVector, w: MukaiVector, ns: NeronSeveriData) -> int:
 
 def mukai_square(v: MukaiVector, ns: NeronSeveriData) -> int:
     return mukai_pairing(v, v, ns)
-
-
-def mukai_vector_of_sheaf(rk: int, c1, chi: int) -> MukaiVector:
-    """(rank, c1, chi - rank) for a sheaf of the given invariants."""
-    return MukaiVector(rk, tuple(c1), chi - rk)
 
 
 def euler_characteristic(v: MukaiVector, w: MukaiVector, ns: NeronSeveriData) -> int:
@@ -233,8 +216,7 @@ def disc_comparison_chain(
     if square == 0:
         raise NotIsotropicError("Mukai vector must be non-isotropic")
     perp = orthogonal_complement(full, [coords])
-    span = sublattice(full, [coords] + perp.columns())
-    idx = index_of_sublattice(full, span)
+    idx = abs(mx.det(mx.freeze([coords] + perp.columns())))
     # Signed form of the identity; taking absolute values on both sides gives
     # |v^2| |disc(v_perp)| = i^2 |disc(full)|.
     signed_ok = square * perp.source.det == idx * idx * full.det

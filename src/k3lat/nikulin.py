@@ -506,7 +506,7 @@ def enumerate_valid_glues(source: IntegralLattice, n: int) -> list[GluingData]:
     can match only when it is cyclic (or trivial) of such an order, and an
     isometry V -> W sends V's generator g to some c*w0 with gcd(c, k) = 1 and
     q(c*w0) = q(g).  V runs over `all_subgroups(A_S)` in its order and c
-    ascends, which is the order of `subgroup_isometries` over every W.
+    ascends, so each V's glues come sorted by the image of its generator.
     """
     _check_source(source)
     if n < 1:

@@ -36,12 +36,8 @@ from .nikulin import (
     embedding_to_glue,
     embedding_witnesses,
     extend_glue,
-    extension_constants,
 )
 
-# Top Chern degrees killing the Brauer obstruction for descent of the class.
-DESCENT_MULTIPLIER_DIM4 = 324    # 2^2 * 3^4
-DESCENT_MULTIPLIER_DIM6 = 3200   # 2^7 * 5^2
 # The seed scan tries l = (l_e, l_f, -l_f) for l_e = 0, ..., SEED_SEARCH_BOUND.
 SEED_SEARCH_BOUND = 24
 
@@ -94,24 +90,6 @@ def build_seed(d: int, lsq: int | None = None) -> SeedData:
     )
 
 
-@dataclass(frozen=True)
-class ZarhinConstants:
-    """Degree r = 3*lsq^2 plus the extension congruence data."""
-
-    r: int
-    modulus: int
-    a: int
-    b: int
-
-
-def zarhin_constants(d: int, lsq: int | None = None) -> ZarhinConstants:
-    seed = build_seed(d, lsq)
-    actual_lsq = seed.lattice.gram[1][1]
-    glue = embedding_to_glue(seed.embedding)
-    consts = extension_constants(glue)
-    return ZarhinConstants(3 * actual_lsq**2, consts.modulus, consts.a, consts.b)
-
-
 def positive_rank_isometry(v: MukaiVector) -> str:
     """Name of the hyperbolic-factor isometry sending v to positive rank."""
     if v.a > 0:
@@ -129,17 +107,12 @@ def apply_isometry(name: str, v: MukaiVector) -> MukaiVector:
     if name == "identity":
         return v
     if name == "negate":
-        return v.negated()
+        return MukaiVector(-v.a, tuple(-x for x in v.d), -v.c)
     if name == "swap":
         return MukaiVector(v.c, v.d, v.a)
     if name == "swap_negate":
         return MukaiVector(-v.c, tuple(-x for x in v.d), -v.a)
     raise ValueError(f"unknown isometry {name!r}")
-
-
-def ensure_positive_rank(v: MukaiVector) -> MukaiVector:
-    """Apply negation and/or the hyperbolic swap (a,D,c) -> (c,D,a) until rank > 0."""
-    return apply_isometry(positive_rank_isometry(v), v)
 
 
 def ambient_vector_to_mukai(x: tuple[int, ...]) -> MukaiVector:
@@ -246,12 +219,3 @@ def zarhin_construct(
     return ZarhinCertificate(
         d, m, actual_lsq, "witness", ns, v, l, r, q_l, extended, cert, checks
     )
-
-
-def brauer_multiplier(l: MukaiVector, dimension: int = 4) -> MukaiVector:
-    """Scale by the descent multiplier (324 in dimension 4, 3200 in dimension 6)."""
-    if dimension == 4:
-        return l.scaled(DESCENT_MULTIPLIER_DIM4)
-    if dimension == 6:
-        return l.scaled(DESCENT_MULTIPLIER_DIM6)
-    raise ValueError("descent multiplier is only recorded for dimensions 4 and 6")

@@ -8,8 +8,9 @@ The isotropic quotient is also built here the long way, through the saturated
 orthogonal complement and an integer solve by Smith normal form, and the
 integer kernel through the transform V of a Smith normal form.  Primitivity
 of a column pair is read off Smith invariants, and the valid glues come from
-the general-form search over every pair of subgroups.  The QR-prime search
-tests primality first and the residues by Euler's criterion after.
+the general-form search over every pair of subgroups, on the isometries found
+from W's element list.  The QR-prime search tests primality first and the
+residues by Euler's criterion after.
 """
 
 import itertools
@@ -31,14 +32,24 @@ def elements(form):
     return list(itertools.product(*(range(o) for o in form.orders)))
 
 
+def zero(form):
+    """The identity element of a discriminant form."""
+    return (0,) * form.ngens
+
+
+def add(form, x, y):
+    """x + y in a discriminant form, coordinatewise modulo the generator orders."""
+    return tuple((a + b) % o for a, b, o in zip(x, y, form.orders, strict=True))
+
+
 def closure(form, gens):
     """Element set generated by gens, by closure under addition."""
-    seen = {form.zero()}
-    frontier = [form.zero()]
+    seen = {zero(form)}
+    frontier = [zero(form)]
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = form.add(x, form.reduce(g))
+            y = add(form, x, form.reduce(g))
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
@@ -57,9 +68,9 @@ def _coordinate_table(sub):
     form = sub.ambient
     table = {}
     for c in itertools.product(*(range(s) for s in sub.invariant_factors)):
-        total = form.zero()
+        total = zero(form)
         for ci, g in zip(c, sub.structure_gens):
-            total = form.add(total, form.scale(ci, g))
+            total = add(form, total, form.scale(ci, g))
         table.setdefault(total, c)
     return table
 
@@ -253,7 +264,7 @@ def extract_glue(emb):
 def enumerate_valid_glues_generic(source, n):
     """Every valid glue of `source` into <2n> + U by the general-form search:
     each subgroup V of A_S against every subgroup W of Z/2n of its order,
-    through `subgroup_isometries`."""
+    through the listing `subgroup_isometries` above."""
     a_src = discriminant_form(source)
     a_amb = discriminant_form(rank_one(2 * n))
     w_groups = discform.all_subgroups(a_amb)
@@ -262,7 +273,7 @@ def enumerate_valid_glues_generic(source, n):
         for w in w_groups:
             if v.order != w.order:
                 continue
-            for gamma in discform.subgroup_isometries(v, w):
+            for gamma in subgroup_isometries(v, w):
                 try:
                     out.append(GluingData(gamma))
                 except LatticeError:

@@ -28,7 +28,7 @@ from k3lat.twisted import (
     partner_disc,
     witness_sequence,
 )
-from k3lat.zarhin import build_seed, zarhin_constants
+from k3lat.zarhin import build_seed, zarhin_construct
 
 import oracles
 
@@ -57,7 +57,7 @@ def random_even_gram(rng, rank, bound, positive_first=True):
 def test_criterion_1_fujiki_degree():
     for q in range(1, 101):
         assert fujiki_degree(q, 2) == 3 * q * q
-    assert zarhin_constants(1, 2).r == 12
+    assert zarhin_construct(1, 5, 2).r == 12
     report(1, "fujiki_degree(q,2) = 3q^2 on q in [1,100]; seed degree r = 12")
 
 

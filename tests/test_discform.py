@@ -10,17 +10,17 @@ from k3lat.discform import (
     DiscriminantForm,
     FiniteSubgroup,
     SubgroupMap,
-    _combination,
     all_subgroups,
     discriminant_data,
     discriminant_form,
     glue_perp_quotient,
-    subgroup_isometries,
 )
 from k3lat.errors import LatticeError, OddLatticeError
-from k3lat.intlat import IntegralLattice, hyperbolic_plane, polarization_lattice, rank_one
+from k3lat.intlat import IntegralLattice, polarization_lattice, rank_one
 
 import oracles
+
+U = IntegralLattice(((0, 1), (1, 0)))
 
 
 def test_discriminant_form_rank_one():
@@ -32,7 +32,7 @@ def test_discriminant_form_rank_one():
 
 
 def test_discriminant_form_hyperbolic_and_diag22():
-    assert discriminant_form(hyperbolic_plane()).orders == ()
+    assert discriminant_form(U).orders == ()
 
     a = discriminant_form(IntegralLattice(((2, 0), (0, 2))))
     assert a.orders == (2, 2)
@@ -85,7 +85,7 @@ def test_polarization_identity_exhaustive():
         elems = oracles.elements(a)
         two_n = 2 * a.level
         for x, y in itertools.product(elems, repeat=2):
-            lhs = (a.q_of(a.add(x, y)) - a.q_of(x) - a.q_of(y)) % two_n
+            lhs = (a.q_of(oracles.add(a, x, y)) - a.q_of(x) - a.q_of(y)) % two_n
             assert lhs == (2 * a.b_of(x, y)) % two_n
 
 
@@ -109,7 +109,7 @@ def test_class_of_and_dual_representative_roundtrip():
         assert data.class_of(z) == x
     # Lattice vectors, whose pairing vectors are the Gram rows, are in class 0.
     for row in lattice.gram:
-        assert data.class_of(row) == data.form.zero()
+        assert data.class_of(row) == oracles.zero(data.form)
 
 
 def test_subgroup_structure():
@@ -194,7 +194,7 @@ def test_element_order_matches_repeated_addition():
         for x in oracles.elements(form):
             n, cur = 1, x
             while any(cur):
-                cur = form.add(cur, x)
+                cur = oracles.add(form, cur, x)
                 n += 1
             assert form.element_order(x) == n
 
@@ -241,33 +241,16 @@ def test_relation_lattice_oracle():
 
 
 def test_subgroup_isometries_examples():
-    trivial_l = discriminant_form(hyperbolic_plane())
-    t = FiniteSubgroup.trivial(trivial_l)
-    maps = subgroup_isometries(t, t)
+    trivial_l = discriminant_form(U)
+    t = FiniteSubgroup.generated_by(trivial_l, ())
+    maps = oracles.subgroup_isometries(t, t)
     assert len(maps) == 1
 
     a2 = discriminant_form(rank_one(2))     # Z/2 with q(1) = 1/2
     am2 = discriminant_form(rank_one(-2))   # Z/2 with q(1) = 3/2
     v = FiniteSubgroup.full(a2)
-    assert len(subgroup_isometries(v, v)) == 1
-    assert subgroup_isometries(v, FiniteSubgroup.full(am2)) == []
-
-
-def _apply(gamma, x):
-    """gamma(x), from the coordinates of x in gamma's domain."""
-    return _combination(gamma.codomain.ambient, oracles.coordinates(gamma.domain, x), gamma.images)
-
-
-def test_subgroup_isometries_closed_under_automorphisms():
-    a = discriminant_form(IntegralLattice(((2, 0), (0, 2))))
-    v = FiniteSubgroup.full(a)
-    isos = subgroup_isometries(v, v)
-    keyed = {g.images for g in isos}
-    for g in isos:
-        for h in isos:
-            # h o g on the structure generators: h of g's image of each one.
-            comp = SubgroupMap(v, v, tuple(_apply(h, y) for y in g.images))
-            assert comp.images in keyed
+    assert len(oracles.subgroup_isometries(v, v)) == 1
+    assert oracles.subgroup_isometries(v, FiniteSubgroup.full(am2)) == []
 
 
 def test_subgroup_map_generator_checks():
@@ -313,9 +296,10 @@ def test_subgroup_map_oracle():
         graph = {}
         well_defined = True
         for c in itertools.product(*(range(2 * s) for s in v.invariant_factors)):
-            x, y = a.zero(), b.zero()
+            x, y = oracles.zero(a), oracles.zero(b)
             for ci, g, img in zip(c, v.structure_gens, images):
-                x, y = a.add(x, a.scale(ci, g)), b.add(y, b.scale(ci, img))
+                x = oracles.add(a, x, a.scale(ci, g))
+                y = oracles.add(b, y, b.scale(ci, img))
             well_defined &= graph.setdefault(x, y) == y
         image = set(graph.values())
         expected = (
@@ -335,7 +319,8 @@ def test_subgroup_map_oracle():
 def test_glue_trivial():
     a = discriminant_form(IntegralLattice(((2, 0), (0, 2))))
     b = discriminant_form(rank_one(2))
-    gamma = subgroup_isometries(FiniteSubgroup.trivial(a), FiniteSubgroup.trivial(b))[0]
+    trivial_a, trivial_b = FiniteSubgroup.generated_by(a, ()), FiniteSubgroup.generated_by(b, ())
+    gamma = oracles.subgroup_isometries(trivial_a, trivial_b)[0]
     res = glue_perp_quotient(gamma)
     assert res.gamma.order == 1
     assert res.gamma_perp.order == a.order * b.order
@@ -351,7 +336,7 @@ def test_glue_diag22_into_degree2():
     a_amb = discriminant_form(rank_one(2))
     v = FiniteSubgroup.generated_by(a_src, [(0, 1)])
     w = FiniteSubgroup.full(a_amb)
-    isos = subgroup_isometries(v, w)
+    isos = oracles.subgroup_isometries(v, w)
     assert len(isos) == 1
     res = glue_perp_quotient(isos[0])
     assert res.quotient.orders == (2,)
@@ -362,10 +347,10 @@ def _glue_cases():
     a_src = discriminant_form(IntegralLattice(((2, 0), (0, 2))))
     a_amb = discriminant_form(rank_one(2))
     v = FiniteSubgroup.generated_by(a_src, [(1, 0)])
-    t = FiniteSubgroup.trivial(a_src)
+    t = FiniteSubgroup.generated_by(a_src, ())
     return [
-        (a_src, a_amb, subgroup_isometries(v, FiniteSubgroup.full(a_amb))[0]),
-        (a_src, a_amb, subgroup_isometries(t, FiniteSubgroup.trivial(a_amb))[0]),
+        (a_src, a_amb, oracles.subgroup_isometries(v, FiniteSubgroup.full(a_amb))[0]),
+        (a_src, a_amb, oracles.subgroup_isometries(t, FiniteSubgroup.generated_by(a_amb, ()))[0]),
     ]
 
 
@@ -380,7 +365,7 @@ def test_glue_project():
     a_src = discriminant_form(IntegralLattice(((2, 0), (0, 2))))
     a_amb = discriminant_form(rank_one(2))
     v = FiniteSubgroup.generated_by(a_src, [(0, 1)])
-    gamma = subgroup_isometries(v, FiniteSubgroup.full(a_amb))[0]
+    gamma = oracles.subgroup_isometries(v, FiniteSubgroup.full(a_amb))[0]
     res = glue_perp_quotient(gamma)
     # Graph elements project to zero; a generator rep projects to a generator.
     for x in oracles.subgroup_elements(res.gamma):
@@ -395,12 +380,12 @@ def test_glue_project():
     for _, _, gamma in _glue_cases():
         res = glue_perp_quotient(gamma)
         perp = oracles.subgroup_elements(res.gamma_perp)
-        zero = res.quotient.zero()
+        zero = oracles.zero(res.quotient)
         for x in perp:
             assert (res.project(x) == zero) == (x in res.gamma)
             for y in perp:
-                expected = res.quotient.add(res.project(x), res.project(y))
-                assert res.project(res.product.add(x, y)) == expected
+                expected = oracles.add(res.quotient, res.project(x), res.project(y))
+                assert res.project(oracles.add(res.product, x, y)) == expected
         assert {res.project(x) for x in perp} == set(oracles.elements(res.quotient))
 
 
@@ -448,24 +433,3 @@ def test_all_subgroups_count_is_gcd_sum(m, n, count):
     assert sum(gcd(a, b) for a in _divisors(m) for b in _divisors(n)) == count
     subs = all_subgroups(form)
     assert len(subs) == len({s.gens for s in subs}) == count
-
-
-def test_subgroup_isometries_match_listing_oracle():
-    # Candidate images from structure coordinates against candidates filtered
-    # from W's element list, on subgroups of one form and of two forms.
-    rng = random.Random(29)
-    noncyclic = 0
-    for _ in range(16):
-        a = discriminant_form(_random_even_lattice(rng, max_disc=64))
-        b = a if rng.random() < 0.5 else discriminant_form(_random_even_lattice(rng, max_disc=64))
-        targets = all_subgroups(b)
-        for v in all_subgroups(a):
-            for w in targets:
-                if v.order != w.order:
-                    continue
-                isos = subgroup_isometries(v, w)
-                assert [g.images for g in isos] == [
-                    g.images for g in oracles.subgroup_isometries(v, w)
-                ]
-                noncyclic += len(isos) * (len(v.invariant_factors) > 1)
-    assert noncyclic > 0

@@ -6,20 +6,14 @@ import pytest
 
 from k3lat import intlat
 from k3lat import matrices as mx
-from k3lat.errors import DegenerateEmbeddingError, LatticeError, NotIsotropicError, RankMismatchError
+from k3lat.errors import LatticeError, NotIsotropicError
 from k3lat.intlat import (
     IntegralLattice,
-    direct_sum,
     enumerate_vectors,
-    hyperbolic_plane,
-    identity_embedding,
-    index_of_sublattice,
-    is_primitive_sublattice,
     orthogonal_complement,
     polarization_lattice,
     quotient_by_isotropic,
     rank_one,
-    saturation,
     sublattice,
 )
 from k3lat.mukai import NeronSeveriData
@@ -27,47 +21,18 @@ from k3lat.twisted import TwistedMukaiLattice, partner_disc, witness_sequence
 
 import oracles
 
+U = IntegralLattice(((0, 1), (1, 0)))
+
 
 def test_lattice_basics():
-    u = hyperbolic_plane()
-    assert u.det == -1
-    assert u.is_even
+    assert U.det == -1
+    assert U.is_even
     lam2 = polarization_lattice(1)
     assert lam2.det == -2
     assert lam2.norm((0, 1, 1)) == 2
     assert lam2.pairing((0, 1, 1), (1, 0, 0)) == 0
     with pytest.raises(LatticeError):
         IntegralLattice(((0, 1), (2, 0)))
-
-
-def test_is_primitive_sublattice():
-    lam10 = polarization_lattice(5)
-    e = sublattice(lam10, [(0, 1, 1), (1, 2, -2)])
-    assert e.source.gram == ((2, 0), (0, 2))
-    assert is_primitive_sublattice(e)
-
-    lam2 = polarization_lattice(1)
-    e2 = sublattice(lam2, [(0, 2, 0)])
-    assert not is_primitive_sublattice(e2)
-
-    assert is_primitive_sublattice(identity_embedding(lam2))
-
-    degenerate = intlat.SublatticeEmbedding(
-        IntegralLattice(((0,),)), hyperbolic_plane(), ((0,), (0,))
-    )
-    with pytest.raises(DegenerateEmbeddingError):
-        is_primitive_sublattice(degenerate)
-
-
-def test_rank_below_source_rank_is_degenerate():
-    # A rank-2 source onto a rank-1 target: the Smith form is 1 x 2, with
-    # one diagonal entry for the two source vectors.
-    source = IntegralLattice(((2, 2), (2, 2)))
-    emb = intlat.SublatticeEmbedding(source, rank_one(2), ((1, 1),))
-    with pytest.raises(DegenerateEmbeddingError, match="rank-deficient"):
-        is_primitive_sublattice(emb)
-    with pytest.raises(DegenerateEmbeddingError, match="^embedding matrix is rank-deficient$"):
-        saturation(emb)
 
 
 def _pair_matrices():
@@ -120,8 +85,7 @@ def test_orthogonal_complement_examples():
     assert c.source.gram == ((-2,),)
     assert c.columns() == [(0, 1, -1)]
 
-    u = hyperbolic_plane()
-    c2 = orthogonal_complement(u, [(1, 0)])
+    c2 = orthogonal_complement(U, [(1, 0)])
     assert c2.source.gram == ((0,),)
     assert c2.columns() == [(1, 0)]
 
@@ -129,79 +93,33 @@ def test_orthogonal_complement_examples():
     assert c3.matrix == mx.identity(3)
 
 
-def test_saturation():
-    lam2 = polarization_lattice(1)
-    e = sublattice(lam2, [(0, 2, 0)])
-    s = saturation(e)
-    assert s.columns() == [(0, 1, 0)]
-    assert is_primitive_sublattice(s)
-
-    prim = sublattice(lam2, [(0, 1, 1), (1, 0, 0)])
-    assert saturation(prim) is prim
-
-    e2 = sublattice(lam2, [(2, 0, 0), (0, 2, 0)])
-    s2 = saturation(e2)
-    assert s2.columns() == [(1, 0, 0), (0, 1, 0)]
-    assert saturation(s2) is s2
-
-    # Full rank: no vector annihilates the span, so it saturates to the target.
-    a2 = IntegralLattice(((2, 1), (1, 2)))
-    s3 = saturation(sublattice(a2, [(2, 0), (0, 2)]))
-    assert s3.matrix == mx.identity(2)
-    assert s3.source == a2
-    s4 = saturation(sublattice(lam2, [(2, 0, 0), (0, 1, 1), (0, 0, 3)]))
-    assert s4.matrix == mx.identity(3)
-    assert s4.source == lam2
-
-
-def test_index_of_sublattice():
-    # Zv + v_perp inside N(X) for NS = [[2]], v = (1, 0, -1) in Mukai coords.
-    n_lattice = IntegralLattice(((2, 0, 0), (0, 0, -1), (0, -1, 0)))
-    v = (0, 1, -1)
-    perp = orthogonal_complement(n_lattice, [v])
-    cols = [v] + perp.columns()
-    full = sublattice(n_lattice, cols)
-    assert index_of_sublattice(n_lattice, full) == 2
-
-    lam2 = polarization_lattice(1)
-    assert index_of_sublattice(lam2, identity_embedding(lam2)) == 1
-
-    doubled = sublattice(lam2, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
-    assert index_of_sublattice(lam2, doubled) == 8
-
-    with pytest.raises(RankMismatchError):
-        index_of_sublattice(lam2, sublattice(lam2, [(1, 0, 0)]))
-
-
 def test_quotient_by_isotropic_examples():
-    l1 = direct_sum(hyperbolic_plane(), rank_one(2))
+    l1 = IntegralLattice(((0, 1, 0), (1, 0, 0), (0, 0, 2)))  # U + <2>
     q = quotient_by_isotropic(l1, (1, 0, 0))
     assert q.gram == ((2,),)
 
-    u = hyperbolic_plane()
-    q2 = quotient_by_isotropic(u, (1, 0))
+    q2 = quotient_by_isotropic(U, (1, 0))
     assert q2.rank == 0
     assert q2.det == 1
 
     with pytest.raises(NotIsotropicError):
-        quotient_by_isotropic(u, (2, 0))
+        quotient_by_isotropic(U, (2, 0))
     with pytest.raises(NotIsotropicError):
-        quotient_by_isotropic(u, (1, 1))
+        quotient_by_isotropic(U, (1, 1))
 
 
 def test_quotient_by_isotropic_errors():
-    u = hyperbolic_plane()
     with pytest.raises(NotIsotropicError, match="primitive"):
-        quotient_by_isotropic(u, (0, 3))
+        quotient_by_isotropic(U, (0, 3))
     with pytest.raises(NotIsotropicError, match="isotropic"):
-        quotient_by_isotropic(u, (1, 1))
+        quotient_by_isotropic(U, (1, 1))
     degenerate = IntegralLattice(((0, 0), (0, 2)))
     with pytest.raises(LatticeError, match="nondegenerate") as info:
         quotient_by_isotropic(degenerate, (1, 0))
     assert info.type is LatticeError
     # Each check runs in turn: primitive, isotropic, nondegenerate.
     with pytest.raises(NotIsotropicError, match="primitive"):
-        quotient_by_isotropic(u, (2, 2))
+        quotient_by_isotropic(U, (2, 2))
     with pytest.raises(NotIsotropicError, match="isotropic"):
         quotient_by_isotropic(degenerate, (0, 1))
     with pytest.raises(NotIsotropicError, match="primitive"):
@@ -286,8 +204,7 @@ def test_enumerate_vectors_examples():
     l2 = rank_one(2)
     assert enumerate_vectors(l2, 2, 1) == [(-1,), (1,)]
 
-    u = hyperbolic_plane()
-    assert enumerate_vectors(u, 0, 1) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+    assert enumerate_vectors(U, 0, 1) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
 
     lam10 = polarization_lattice(5)
     assert enumerate_vectors(lam10, 2, 2) == [
@@ -309,9 +226,8 @@ def test_enumerate_vectors_last_coordinate_branches():
         for norm in (0, 2, 4, -6):
             assert enumerate_vectors(lam, norm, 5) == _box_scan(lam, norm, 5)
     # g_rr = 0 with l = 0: the whole column of the box when c = 0.
-    u = hyperbolic_plane()
-    assert enumerate_vectors(u, 0, 2) == _box_scan(u, 0, 2)
-    assert [x for x in enumerate_vectors(u, 0, 2) if x[0] == 0] == [(0, z) for z in range(-2, 3)]
+    assert enumerate_vectors(U, 0, 2) == _box_scan(U, 0, 2)
+    assert [x for x in enumerate_vectors(U, 0, 2) if x[0] == 0] == [(0, z) for z in range(-2, 3)]
     degenerate = IntegralLattice(((2, 0), (0, 0)))
     assert enumerate_vectors(degenerate, 2, 1) == [
         (-1, -1), (-1, 0), (-1, 1), (1, -1), (1, 0), (1, 1),
@@ -379,6 +295,11 @@ def test_enumerate_vectors_closed_under_negation():
 
 
 def test_embedding_invariants_random():
+    # A primitive diag(2, 2) inside <10> + U.
+    e = sublattice(polarization_lattice(5), [(0, 1, 1), (1, 2, -2)])
+    assert e.source.gram == ((2, 0), (0, 2))
+    assert intlat.is_primitive_pair(e.matrix)
+
     rng = random.Random(8)
     lam6 = polarization_lattice(3)
     for _ in range(40):
@@ -391,9 +312,6 @@ def test_embedding_invariants_random():
         e = sublattice(lam6, cols)
         lhs = mx.mat_mul(mx.mat_mul(mx.transpose(e.matrix), lam6.gram), e.matrix)
         assert lhs == e.source.gram
-        s = saturation(e)
-        assert is_primitive_sublattice(s)
-        assert saturation(s) is s
 
 
 def test_index_disc_identity():
@@ -406,5 +324,5 @@ def test_index_disc_identity():
         if mx.det(m) == 0:
             continue
         e = sublattice(lam4, cols)
-        idx = index_of_sublattice(lam4, e)
+        idx = abs(mx.det(m))
         assert idx * idx * lam4.disc_abs == abs(e.source.det)

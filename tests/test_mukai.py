@@ -15,7 +15,6 @@ from k3lat.mukai import (
     full_mukai_lattice,
     moduli_dimension,
     mukai_pairing,
-    mukai_vector_of_sheaf,
 )
 
 NS2 = NeronSeveriData(((2,),))
@@ -41,12 +40,6 @@ def test_pairing_symmetric_bilinear():
         assert mukai_pairing(v, w, ns) == mukai_pairing(w, v, ns)
         vw = mv(v.a + w.a, tuple(x + y for x, y in zip(v.d, w.d)), v.c + w.c)
         assert mukai_pairing(vw, u, ns) == mukai_pairing(v, u, ns) + mukai_pairing(w, u, ns)
-
-
-def test_mukai_vector_of_sheaf():
-    assert mukai_vector_of_sheaf(1, (0,), 2) == mv(1, (0,), 1)
-    assert mukai_vector_of_sheaf(0, (0,), 1) == mv(0, (0,), 1)
-    assert mukai_vector_of_sheaf(2, (1,), 3) == mv(2, (1,), 1)
 
 
 def test_euler_characteristic_examples():

@@ -381,8 +381,8 @@ def test_glue_validity_rejects_negative_target():
     # ((2,3),(3,2)) is indefinite; with trivial V and W into <2> + U its glue
     # quotient is Z/10 with q = 19/10 = -1/10, which no unit square carries to 1/10.
     a_src = discriminant_form(IntegralLattice(((2, 3), (3, 2))))
-    trivial = FiniteSubgroup.trivial(a_src)
-    w = FiniteSubgroup.trivial(discriminant_form(rank_one(2)))
+    trivial = FiniteSubgroup.generated_by(a_src, ())
+    w = FiniteSubgroup.generated_by(discriminant_form(rank_one(2)), ())
     gamma = SubgroupMap(trivial, w, ())
     q = glue_perp_quotient(gamma).quotient
     assert (q.orders, q.q) == ((10,), (19,))
@@ -393,8 +393,8 @@ def test_glue_validity_rejects_negative_target():
 def test_glue_t_needs_a_cyclic_quotient():
     # diag(2,2) with trivial V and W into <2> + U leaves the whole product
     # (Z/2)^3 as the quotient: no t, so no glue can be built.
-    trivial = FiniteSubgroup.trivial(discriminant_form(DIAG22))
-    w = FiniteSubgroup.trivial(discriminant_form(rank_one(2)))
+    trivial = FiniteSubgroup.generated_by(discriminant_form(DIAG22), ())
+    w = FiniteSubgroup.generated_by(discriminant_form(rank_one(2)), ())
     gamma = SubgroupMap(trivial, w, ())
     assert glue_perp_quotient(gamma).quotient.orders == (2, 2, 2)
     with pytest.raises(LatticeError, match="generator orders"):

@@ -2,14 +2,11 @@ import pytest
 
 from k3lat.errors import InadmissibleError, LatticeError
 from k3lat.mukai import MukaiVector, NeronSeveriData, mukai_pairing
+from k3lat.nikulin import embedding_to_glue, extension_constants
 from k3lat.zarhin import (
-    DESCENT_MULTIPLIER_DIM4,
-    DESCENT_MULTIPLIER_DIM6,
     apply_isometry,
-    brauer_multiplier,
     build_seed,
-    ensure_positive_rank,
-    zarhin_constants,
+    positive_rank_isometry,
     zarhin_construct,
 )
 
@@ -33,13 +30,12 @@ def test_build_seed_examples():
 
 
 def test_zarhin_constants():
-    c = zarhin_constants(1, 2)
-    assert (c.r, c.modulus, c.a, c.b) == (12, 4, -1, 1)
-    assert zarhin_constants(2, 4).r == 48
-    assert zarhin_constants(3, 4).r == 48
+    c = extension_constants(embedding_to_glue(build_seed(1, 2).embedding))
+    assert (zarhin_construct(1, 1, 2).r, c.modulus, c.a, c.b) == (12, 4, -1, 1)
+    assert zarhin_construct(2, 1, 4).r == 48
+    assert zarhin_construct(3, 1, 4).r == 48
     # q_L = lsq, so choosing lsq coprime to an odd n keeps q_L coprime to n.
-    c6 = zarhin_constants(5, 2)
-    assert c6.r == 12
+    assert zarhin_construct(5, 1, 2).r == 12
 
 
 def test_build_seed_unrealizable_lsq():
@@ -56,17 +52,20 @@ def test_build_seed_unrealizable_lsq():
     seed = build_seed(1, 10)
     assert seed.lattice.gram == ((2, 0), (0, 10))
     assert seed.embedding.columns()[1] == (3, 2, -2)
-    assert zarhin_constants(1, 10).r == 300
+    assert zarhin_construct(1, 1, 10).r == 300
 
 
 def test_ensure_positive_rank():
-    assert ensure_positive_rank(MukaiVector(-1, (0,), 1)) == MukaiVector(1, (0,), -1)
-    assert ensure_positive_rank(MukaiVector(0, (3,), 2)) == MukaiVector(2, (3,), 0)
+    def positive(v):
+        return apply_isometry(positive_rank_isometry(v), v)
+
+    assert positive(MukaiVector(-1, (0,), 1)) == MukaiVector(1, (0,), -1)
+    assert positive(MukaiVector(0, (3,), 2)) == MukaiVector(2, (3,), 0)
     v = MukaiVector(1, (5,), 7)
-    assert ensure_positive_rank(v) is v
-    assert ensure_positive_rank(MukaiVector(0, (1,), -2)) == MukaiVector(2, (-1,), 0)
+    assert positive(v) is v
+    assert positive(MukaiVector(0, (1,), -2)) == MukaiVector(2, (-1,), 0)
     with pytest.raises(LatticeError):
-        ensure_positive_rank(MukaiVector(0, (1,), 0))
+        positive(MukaiVector(0, (1,), 0))
 
 
 def test_isometry_preserves_pairings():
@@ -119,15 +118,3 @@ def test_zarhin_orthogonality_in_ambient():
         assert cert.realized
         assert mukai_pairing(cert.v, cert.l, cert.ns) == 0
         assert cert.checks["r_equals_fujiki"]
-
-
-def test_brauer_multiplier():
-    l = MukaiVector(0, (1,), 0)
-    big = brauer_multiplier(l)
-    assert big == MukaiVector(0, (324,), 0)
-    ns = NeronSeveriData(((2,),))
-    assert mukai_pairing(big, big, ns) == 324**2 * 2
-    assert brauer_multiplier(MukaiVector(0, (0,), 0)) == MukaiVector(0, (0,), 0)
-    assert DESCENT_MULTIPLIER_DIM4 == 2**2 * 3**4
-    assert DESCENT_MULTIPLIER_DIM6 == 2**7 * 5**2
-    assert brauer_multiplier(l, dimension=6) == MukaiVector(0, (3200,), 0)
